@@ -88,17 +88,16 @@ def _check_pair(f_pre, f_cur, params: AttentionParams):
 
 def attention_forward(f_pre: np.ndarray, f_cur: np.ndarray,
                       params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
-    """Pure forward pass; returns (refined map, attention mask)."""
-    _check_pair(f_pre, f_cur, params)
-    f_cat = tensor.concat_channels(f_pre, f_cur)
-    mask = tensor.activation(
-        tensor.conv2d(f_cat, params.weight.value, params.bias.value, params.spec), "sigmoid")
-    return tensor.hadamard(f_cur, mask), mask
+    """Forward pass on a throwaway tape; returns (refined map, attention mask)."""
+    graph = GradGraph()
+    refined, mask = attention_forward_graph(graph, graph.constant(f_pre),
+                                            graph.constant(f_cur), params)
+    return refined.value, mask.value
 
 
 def attention_forward_graph(graph: GradGraph, f_pre: Node, f_cur: Node,
                             params: AttentionParams) -> tuple[Node, Node]:
-    """Differentiable version of :func:`attention_forward` on a tape."""
+    """The gate on a tape: concat, mask conv, sigmoid, multiply."""
     _check_pair(f_pre.value, f_cur.value, params)
     f_cat = graph.concat_channels(f_pre, f_cur)
     pre_mask = graph.conv2d(f_cat, graph.leaf(params.weight), graph.leaf(params.bias), params.spec)

@@ -8,6 +8,13 @@ topological order, accumulating gradients across fan-out, and returns a
 zero gradients rather than being dropped, so optimizer code can iterate
 parameters unconditionally.
 
+Forward values come from the ``llanet.tensor`` kernels; an op keeps only
+what the kernel returns, and arrays that only the backward pass needs (conv
+windows, ReLU masks, max-pool winners, the normalized batch-norm input) are
+built inside its adjoint. No closure refers to the graph, so a tape holds
+no reference cycle and is freed by reference counting as soon as its last
+reference goes.
+
 ``grad_check`` verifies any graph-building closure against central
 differences.
 """
@@ -68,6 +75,13 @@ class GradMap(dict):
         return float(np.sqrt(sum(float((g * g).sum()) for g in self.values())))
 
 
+def _send(parent: Node, grad):
+    if parent.grad is None:
+        parent.grad = np.array(grad, dtype=DEFAULT_DTYPE)
+    else:
+        parent.grad += grad
+
+
 class GradGraph:
     """Tape of differentiable ops; build a scalar loss, then call ``backward``."""
 
@@ -81,13 +95,6 @@ class GradGraph:
         node = Node(value, backprop, label)
         self._tape.append(node)
         return node
-
-    @staticmethod
-    def _send(parent: Node, grad):
-        if parent.grad is None:
-            parent.grad = np.array(grad, dtype=DEFAULT_DTYPE)
-        else:
-            parent.grad += grad
 
     def leaf(self, param: Param) -> Node:
         """Enter ``param`` into the graph; repeated calls return the same node."""
@@ -108,15 +115,15 @@ class GradGraph:
 
     def conv2d(self, x: Node, weight: Node, bias: Node | None, spec: ConvSpec) -> Node:
         out = tensor.conv2d(x.value, weight.value, None if bias is None else bias.value, spec)
-        windows, padded_shape = tensor._conv_windows(
-            x.value, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
-        n, _, oh, ow = out.shape
-        wmat = weight.value.reshape(spec.out_channels, -1)
 
         def backprop(dy):
-            self._send(weight, np.tensordot(dy, windows, axes=([0, 2, 3], [0, 4, 5])).reshape(spec.weight_shape))
+            n, _, oh, ow = dy.shape
+            windows, padded_shape = tensor._conv_windows(
+                x.value, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
+            _send(weight, np.tensordot(dy, windows, axes=([0, 2, 3], [0, 4, 5])).reshape(spec.weight_shape))
             if bias is not None:
-                self._send(bias, dy.sum(axis=(0, 2, 3)))
+                _send(bias, dy.sum(axis=(0, 2, 3)))
+            wmat = weight.value.reshape(spec.out_channels, -1)
             dcols = np.matmul(wmat.T, dy.reshape(n, spec.out_channels, oh * ow))
             dwin = dcols.reshape(n, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
             dxp = np.zeros(padded_shape, dtype=DEFAULT_DTYPE)
@@ -126,53 +133,41 @@ class GradGraph:
                     dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, :, i, j]
             p = spec.padding
             dx = dxp[:, :, p:padded_shape[2] - p, p:padded_shape[3] - p] if p else dxp
-            self._send(x, dx)
+            _send(x, dx)
 
         return self._record(out, backprop, "conv2d")
 
     def batchnorm2d(self, x: Node, gamma: Node, beta: Node, stats: RunningStats,
                     train: bool, eps: float = 1e-5, momentum: float = 0.1,
                     update_running: bool | None = None) -> Node:
-        xv = x.value
-        if train:
-            m = xv.shape[0] * xv.shape[2] * xv.shape[3]
-            if m < 2:
-                raise ValueError("train-mode batch norm needs at least 2 values per channel")
-            mean, var = tensor.batch_moments(xv)
-            if update_running is None or update_running:
-                stats.mean *= 1.0 - momentum
-                stats.mean += momentum * mean
-                stats.var *= 1.0 - momentum
-                stats.var += momentum * (var * (m / (m - 1.0)))
-        else:
-            # snapshot so later in-place updates cannot corrupt this adjoint
-            mean, var = stats.mean.copy(), stats.var.copy()
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (xv - mean[None, :, None, None]) * inv[None, :, None, None]
-        out = gamma.value[None, :, None, None] * xhat + beta.value[None, :, None, None]
-        gval = gamma.value
+        # eval mode: snapshot so later in-place updates cannot corrupt this adjoint
+        snapshot = None if train else (stats.mean.copy(), stats.var.copy())
+        out = tensor.batchnorm2d(x.value, gamma.value, beta.value, stats, train,
+                                 eps, momentum, update_running)
 
         def backprop(dy):
-            self._send(gamma, (dy * xhat).sum(axis=(0, 2, 3)))
-            self._send(beta, dy.sum(axis=(0, 2, 3)))
-            dxhat = dy * gval[None, :, None, None]
+            xv = x.value
+            mean, var = tensor.batch_moments(xv) if train else snapshot
+            xhat, inv = tensor._normalize(xv, mean, var, eps)
+            _send(gamma, (dy * xhat).sum(axis=(0, 2, 3)))
+            _send(beta, dy.sum(axis=(0, 2, 3)))
+            dxhat = dy * gamma.value[None, :, None, None]
             if train:
                 m = xv.shape[0] * xv.shape[2] * xv.shape[3]
                 s1 = dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
                 s2 = (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
-                dx = (inv[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2)
+                dx = (inv / m) * (m * dxhat - s1 - xhat * s2)
             else:
-                dx = dxhat * inv[None, :, None, None]
-            self._send(x, dx)
+                dx = dxhat * inv
+            _send(x, dx)
 
         return self._record(out, backprop, "batchnorm2d")
 
     def relu(self, x: Node) -> Node:
         out = tensor.activation(x.value, "relu")
-        positive = x.value > 0
 
         def backprop(dy):
-            self._send(x, dy * positive)
+            _send(x, dy * (x.value > 0))
 
         return self._record(out, backprop, "relu")
 
@@ -180,7 +175,7 @@ class GradGraph:
         out = tensor.activation(x.value, "sigmoid")
 
         def backprop(dy):
-            self._send(x, dy * out * (1.0 - out))
+            _send(x, dy * out * (1.0 - out))
 
         return self._record(out, backprop, "sigmoid")
 
@@ -189,8 +184,8 @@ class GradGraph:
         ca = a.value.shape[1]
 
         def backprop(dy):
-            self._send(a, dy[:, :ca])
-            self._send(b, dy[:, ca:])
+            _send(a, dy[:, :ca])
+            _send(b, dy[:, ca:])
 
         return self._record(out, backprop, "concat")
 
@@ -199,8 +194,8 @@ class GradGraph:
         av, bv = a.value, b.value
 
         def backprop(dy):
-            self._send(a, dy * bv)
-            self._send(b, dy * av)
+            _send(a, dy * bv)
+            _send(b, dy * av)
 
         return self._record(out, backprop, "hadamard")
 
@@ -210,25 +205,25 @@ class GradGraph:
         out = a.value + b.value
 
         def backprop(dy):
-            self._send(a, dy)
-            self._send(b, dy)
+            _send(a, dy)
+            _send(b, dy)
 
         return self._record(out, backprop, "add")
 
     def maxpool(self, x: Node, window: int, stride: int | None = None) -> Node:
         stride = window if stride is None else stride
         out = tensor.pool2d(x.value, "max", window, stride)
-        windows, _ = tensor._conv_windows(x.value, window, window, stride, 0)
-        n, c, oh, ow = out.shape
-        winner = windows.reshape(n, c, window * window, oh, ow).argmax(axis=2)
 
         def backprop(dy):
+            n, c, oh, ow = dy.shape
+            windows, _ = tensor._conv_windows(x.value, window, window, stride, 0)
+            winner = windows.reshape(n, c, window * window, oh, ow).argmax(axis=2)
             dx = np.zeros_like(x.value)
             ni, ci, oi, oj = np.indices((n, c, oh, ow))
             rows = oi * stride + winner // window
             cols = oj * stride + winner % window
             np.add.at(dx, (ni, ci, rows, cols), dy)
-            self._send(x, dx)
+            _send(x, dx)
 
         return self._record(out, backprop, "maxpool")
 
@@ -237,7 +232,7 @@ class GradGraph:
         _, _, h, w = x.value.shape
 
         def backprop(dy):
-            self._send(x, np.broadcast_to(dy / (h * w), x.value.shape))
+            _send(x, np.broadcast_to(dy / (h * w), x.value.shape))
 
         return self._record(out, backprop, "global_avg_pool")
 
@@ -247,7 +242,7 @@ class GradGraph:
         shape = x.value.shape
 
         def backprop(dy):
-            self._send(x, dy.reshape(shape))
+            _send(x, dy.reshape(shape))
 
         return self._record(out, backprop, "flatten")
 
@@ -256,21 +251,21 @@ class GradGraph:
         xv, wv = x.value, weight.value
 
         def backprop(dy):
-            self._send(weight, dy.T @ xv)
-            self._send(bias, dy.sum(axis=0))
-            self._send(x, dy @ wv)
+            _send(weight, dy.T @ xv)
+            _send(bias, dy.sum(axis=0))
+            _send(x, dy @ wv)
 
         return self._record(out, backprop, "linear")
 
     def softmax_cross_entropy(self, logits: Node, labels) -> Node:
         labels = np.asarray(labels)
         loss, probs = tensor.softmax_cross_entropy(logits.value, labels)
-        n, k = logits.value.shape
-        onehot = np.zeros((n, k), dtype=DEFAULT_DTYPE)
-        onehot[np.arange(n), labels] = 1.0
+        n = len(labels)
 
         def backprop(dy):
-            self._send(logits, float(dy) * (probs - onehot) / n)
+            onehot = np.zeros(probs.shape, dtype=DEFAULT_DTYPE)
+            onehot[np.arange(n), labels] = 1.0
+            _send(logits, float(dy) * (probs - onehot) / n)
 
         return self._record(np.float64(loss), backprop, "softmax_cross_entropy")
 
@@ -282,7 +277,7 @@ class GradGraph:
         out = np.float64((weights * x.value).sum())
 
         def backprop(dy):
-            self._send(x, float(dy) * weights)
+            _send(x, float(dy) * weights)
 
         return self._record(out, backprop, "weighted_sum")
 

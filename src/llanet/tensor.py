@@ -2,7 +2,10 @@
 
 Feature maps are plain numpy arrays of shape (n, c, h, w) - batch, channels,
 height, width - stored row-major, float64 by default. Everything in this
-module is a pure forward kernel; adjoints live in ``llanet.autodiff``.
+module is a pure forward kernel and the only copy of the forward math: the
+ops of ``llanet.autodiff`` take their values from these kernels, and their
+adjoints build what only the backward pass needs with the helpers here
+(``_conv_windows``, ``_normalize``).
 Running batch-norm statistics are owned by the caller and passed in
 explicitly, so kernels keep no hidden state.
 """
@@ -160,6 +163,12 @@ def batch_moments(x) -> tuple[np.ndarray, np.ndarray]:
     return x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
 
 
+def _normalize(x, mean, var, eps):
+    """Per-channel (x - mean) / sqrt(var + eps), plus the broadcastable inverse std."""
+    inv = (1.0 / np.sqrt(var + eps))[None, :, None, None]
+    return (x - mean[None, :, None, None]) * inv, inv
+
+
 def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
                 eps: float = 1e-5, momentum: float = 0.1,
                 update_running: bool | None = None) -> np.ndarray:
@@ -189,9 +198,8 @@ def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
             stats.var += momentum * (var * (m / (m - 1.0)))
     else:
         mean, var = stats.mean, stats.var
-    inv = 1.0 / np.sqrt(var + eps)
-    return gamma[None, :, None, None] * ((x - mean[None, :, None, None]) * inv[None, :, None, None]) \
-        + beta[None, :, None, None]
+    xhat, _ = _normalize(x, mean, var, eps)
+    return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
 
 
 def _sigmoid(x):

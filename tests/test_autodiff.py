@@ -1,12 +1,15 @@
 """Tape differentiation: adjoint rules, accumulation, and the finite-difference verifier."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from llanet import tensor
+from llanet import network, tensor
 from llanet.autodiff import GradGraph, Param, grad_check, relative_error
-from llanet.tensor import ConvSpec, FORWARD_KERNELS
+from llanet.tensor import ConvSpec, DimensionError, FORWARD_KERNELS, RunningStats
 from llanet.verify import KERNEL_CHECKS
 
 
@@ -222,7 +225,6 @@ def test_maxpool_overlapping_adjoint():
 
 def test_eval_batchnorm_treats_running_stats_as_constants():
     rng = np.random.default_rng(9)
-    from llanet.tensor import RunningStats
     x = Param("x", rng.standard_normal((2, 2, 3, 3)))
     gamma = Param("gamma", np.array([1.5, 0.5]))
     beta = Param("beta", np.zeros(2))
@@ -233,6 +235,34 @@ def test_eval_batchnorm_treats_running_stats_as_constants():
     inv = 1.0 / np.sqrt(stats.var + 1e-5)
     expected = np.broadcast_to((gamma.value * inv)[None, :, None, None], x.value.shape)
     npt.assert_allclose(grads["x"], expected, atol=1e-12)
+
+
+def test_graph_batchnorm_rejects_what_the_kernel_rejects():
+    g = GradGraph()
+    x = g.constant(np.zeros((2, 3, 2, 2)))
+    with pytest.raises(DimensionError) as e:  # would broadcast if unchecked
+        g.batchnorm2d(x, g.constant(np.ones(1)), g.constant(np.zeros(3)),
+                      RunningStats.fresh(3), train=True)
+    assert e.value.axis == "channels"
+    with pytest.raises(ValueError):
+        g.batchnorm2d(g.constant(np.zeros((1, 3, 1, 1))), g.constant(np.ones(3)),
+                      g.constant(np.zeros(3)), RunningStats.fresh(3), train=True)
+
+
+def test_tape_is_freed_by_reference_counting():
+    cfg = network.preset("micro")
+    store = network.init_network(cfg)
+    x = np.random.default_rng(10).standard_normal((2, *cfg.input_shape))
+    gc.disable()
+    try:
+        g = GradGraph()
+        trace, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True)
+        g.backward(loss)
+        alive = weakref.ref(g)
+        del g, trace, loss
+        assert alive() is None  # no gc.collect(): nothing may keep the tape in a cycle
+    finally:
+        gc.enable()
 
 
 def test_relative_error_denominator_floor():
