@@ -3,10 +3,11 @@
 A ``GradGraph`` is a tape: every op appends a ``Node`` holding the forward
 value and a closure that scatters the node's cotangent to its parents.
 ``backward`` walks the tape in reverse creation order, which is a valid
-topological order, accumulating gradients across fan-out, and returns a
-``GradMap`` for the trainable leaves. Leaves the loss never touched get
-zero gradients rather than being dropped, so optimizer code can iterate
-parameters unconditionally.
+topological order. It keeps the pending cotangents itself, accumulating
+them across fan-out, frees each one as soon as its node's adjoint has run,
+and returns a plain dict from trainable-leaf name to gradient. Leaves the
+loss never touched get zero gradients rather than being dropped, so
+optimizer code can iterate parameters unconditionally.
 
 Forward values come from the ``llanet.tensor`` kernels; an op keeps only
 what the kernel returns, and arrays that only the backward pass needs (conv
@@ -52,11 +53,10 @@ class Param:
 class Node:
     """One tape entry: forward value plus the local backward rule."""
 
-    __slots__ = ("value", "grad", "_backprop", "label")
+    __slots__ = ("value", "_backprop", "label")
 
     def __init__(self, value, backprop=None, label=""):
         self.value = value
-        self.grad = None
         self._backprop = backprop
         self.label = label
 
@@ -66,20 +66,6 @@ class Node:
 
     def __repr__(self):
         return f"Node({self.label or 'const'}, shape={np.shape(self.value)})"
-
-
-class GradMap(dict):
-    """Mapping from trainable parameter name to its gradient array."""
-
-    def total_norm(self) -> float:
-        return float(np.sqrt(sum(float((g * g).sum()) for g in self.values())))
-
-
-def _send(parent: Node, grad):
-    if parent.grad is None:
-        parent.grad = np.array(grad, dtype=DEFAULT_DTYPE)
-    else:
-        parent.grad += grad
 
 
 class GradGraph:
@@ -116,13 +102,13 @@ class GradGraph:
     def conv2d(self, x: Node, weight: Node, bias: Node | None, spec: ConvSpec) -> Node:
         out = tensor.conv2d(x.value, weight.value, None if bias is None else bias.value, spec)
 
-        def backprop(dy):
+        def backprop(dy, send):
             n, _, oh, ow = dy.shape
             windows, padded_shape = tensor._conv_windows(
                 x.value, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
-            _send(weight, np.tensordot(dy, windows, axes=([0, 2, 3], [0, 4, 5])).reshape(spec.weight_shape))
+            send(weight, np.tensordot(dy, windows, axes=([0, 2, 3], [0, 4, 5])).reshape(spec.weight_shape))
             if bias is not None:
-                _send(bias, dy.sum(axis=(0, 2, 3)))
+                send(bias, dy.sum(axis=(0, 2, 3)))
             wmat = weight.value.reshape(spec.out_channels, -1)
             dcols = np.matmul(wmat.T, dy.reshape(n, spec.out_channels, oh * ow))
             dwin = dcols.reshape(n, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
@@ -133,24 +119,22 @@ class GradGraph:
                     dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, :, i, j]
             p = spec.padding
             dx = dxp[:, :, p:padded_shape[2] - p, p:padded_shape[3] - p] if p else dxp
-            _send(x, dx)
+            send(x, dx)
 
         return self._record(out, backprop, "conv2d")
 
     def batchnorm2d(self, x: Node, gamma: Node, beta: Node, stats: RunningStats,
-                    train: bool, eps: float = 1e-5, momentum: float = 0.1,
-                    update_running: bool | None = None) -> Node:
+                    train: bool, update_running: bool = True) -> Node:
         # eval mode: snapshot so later in-place updates cannot corrupt this adjoint
         snapshot = None if train else (stats.mean.copy(), stats.var.copy())
-        out = tensor.batchnorm2d(x.value, gamma.value, beta.value, stats, train,
-                                 eps, momentum, update_running)
+        out = tensor.batchnorm2d(x.value, gamma.value, beta.value, stats, train, update_running)
 
-        def backprop(dy):
+        def backprop(dy, send):
             xv = x.value
             mean, var = tensor.batch_moments(xv) if train else snapshot
-            xhat, inv = tensor._normalize(xv, mean, var, eps)
-            _send(gamma, (dy * xhat).sum(axis=(0, 2, 3)))
-            _send(beta, dy.sum(axis=(0, 2, 3)))
+            xhat, inv = tensor._normalize(xv, mean, var)
+            send(gamma, (dy * xhat).sum(axis=(0, 2, 3)))
+            send(beta, dy.sum(axis=(0, 2, 3)))
             dxhat = dy * gamma.value[None, :, None, None]
             if train:
                 m = xv.shape[0] * xv.shape[2] * xv.shape[3]
@@ -159,23 +143,23 @@ class GradGraph:
                 dx = (inv / m) * (m * dxhat - s1 - xhat * s2)
             else:
                 dx = dxhat * inv
-            _send(x, dx)
+            send(x, dx)
 
         return self._record(out, backprop, "batchnorm2d")
 
     def relu(self, x: Node) -> Node:
         out = tensor.activation(x.value, "relu")
 
-        def backprop(dy):
-            _send(x, dy * (x.value > 0))
+        def backprop(dy, send):
+            send(x, dy * (x.value > 0))
 
         return self._record(out, backprop, "relu")
 
     def sigmoid(self, x: Node) -> Node:
         out = tensor.activation(x.value, "sigmoid")
 
-        def backprop(dy):
-            _send(x, dy * out * (1.0 - out))
+        def backprop(dy, send):
+            send(x, dy * out * (1.0 - out))
 
         return self._record(out, backprop, "sigmoid")
 
@@ -183,9 +167,9 @@ class GradGraph:
         out = tensor.concat_channels(a.value, b.value)
         ca = a.value.shape[1]
 
-        def backprop(dy):
-            _send(a, dy[:, :ca])
-            _send(b, dy[:, ca:])
+        def backprop(dy, send):
+            send(a, dy[:, :ca])
+            send(b, dy[:, ca:])
 
         return self._record(out, backprop, "concat")
 
@@ -193,9 +177,9 @@ class GradGraph:
         out = tensor.hadamard(a.value, b.value)
         av, bv = a.value, b.value
 
-        def backprop(dy):
-            _send(a, dy * bv)
-            _send(b, dy * av)
+        def backprop(dy, send):
+            send(a, dy * bv)
+            send(b, dy * av)
 
         return self._record(out, backprop, "hadamard")
 
@@ -204,9 +188,9 @@ class GradGraph:
             raise DimensionError(f"add shapes differ: {a.value.shape} vs {b.value.shape}")
         out = a.value + b.value
 
-        def backprop(dy):
-            _send(a, dy)
-            _send(b, dy)
+        def backprop(dy, send):
+            send(a, dy)
+            send(b, dy)
 
         return self._record(out, backprop, "add")
 
@@ -214,7 +198,7 @@ class GradGraph:
         stride = window if stride is None else stride
         out = tensor.pool2d(x.value, "max", window, stride)
 
-        def backprop(dy):
+        def backprop(dy, send):
             n, c, oh, ow = dy.shape
             windows, _ = tensor._conv_windows(x.value, window, window, stride, 0)
             winner = windows.reshape(n, c, window * window, oh, ow).argmax(axis=2)
@@ -223,7 +207,7 @@ class GradGraph:
             rows = oi * stride + winner // window
             cols = oj * stride + winner % window
             np.add.at(dx, (ni, ci, rows, cols), dy)
-            _send(x, dx)
+            send(x, dx)
 
         return self._record(out, backprop, "maxpool")
 
@@ -231,8 +215,8 @@ class GradGraph:
         out = tensor.pool2d(x.value, "global_avg")
         _, _, h, w = x.value.shape
 
-        def backprop(dy):
-            _send(x, np.broadcast_to(dy / (h * w), x.value.shape))
+        def backprop(dy, send):
+            send(x, np.broadcast_to(dy / (h * w), x.value.shape))
 
         return self._record(out, backprop, "global_avg_pool")
 
@@ -241,8 +225,8 @@ class GradGraph:
         out = x.value.reshape(n, -1)
         shape = x.value.shape
 
-        def backprop(dy):
-            _send(x, dy.reshape(shape))
+        def backprop(dy, send):
+            send(x, dy.reshape(shape))
 
         return self._record(out, backprop, "flatten")
 
@@ -250,10 +234,10 @@ class GradGraph:
         out = tensor.linear(x.value, weight.value, bias.value)
         xv, wv = x.value, weight.value
 
-        def backprop(dy):
-            _send(weight, dy.T @ xv)
-            _send(bias, dy.sum(axis=0))
-            _send(x, dy @ wv)
+        def backprop(dy, send):
+            send(weight, dy.T @ xv)
+            send(bias, dy.sum(axis=0))
+            send(x, dy @ wv)
 
         return self._record(out, backprop, "linear")
 
@@ -262,10 +246,10 @@ class GradGraph:
         loss, probs = tensor.softmax_cross_entropy(logits.value, labels)
         n = len(labels)
 
-        def backprop(dy):
+        def backprop(dy, send):
             onehot = np.zeros(probs.shape, dtype=DEFAULT_DTYPE)
             onehot[np.arange(n), labels] = 1.0
-            _send(logits, float(dy) * (probs - onehot) / n)
+            send(logits, float(dy) * (probs - onehot) / n)
 
         return self._record(np.float64(loss), backprop, "softmax_cross_entropy")
 
@@ -276,29 +260,31 @@ class GradGraph:
             raise DimensionError(f"weights shape {weights.shape} != value shape {x.value.shape}")
         out = np.float64((weights * x.value).sum())
 
-        def backprop(dy):
-            _send(x, float(dy) * weights)
+        def backprop(dy, send):
+            send(x, float(dy) * weights)
 
         return self._record(out, backprop, "weighted_sum")
 
     # -- backward ------------------------------------------------------------
 
-    def backward(self, root: Node) -> GradMap:
+    def backward(self, root: Node) -> dict:
         """Reverse sweep from a scalar ``root``; returns trainable-leaf gradients."""
         if np.size(root.value) != 1:
             raise ValueError(f"backward needs a scalar root, got shape {np.shape(root.value)}")
-        for node in self._tape:
-            node.grad = None
-        root.grad = np.ones_like(root.value, dtype=DEFAULT_DTYPE)
+        grads = {root: np.ones_like(root.value, dtype=DEFAULT_DTYPE)}
+
+        def send(parent: Node, grad):
+            pending = grads.get(parent)
+            if pending is None:
+                grads[parent] = np.array(grad, dtype=DEFAULT_DTYPE)
+            else:
+                pending += grad
+
         for node in reversed(self._tape):
-            if node.grad is not None and node._backprop is not None:
-                node._backprop(node.grad)
-        grads = GradMap()
-        for name, (param, node) in self._leaves.items():
-            if not param.trainable:
-                continue
-            grads[name] = np.zeros_like(param.value) if node.grad is None else node.grad
-        return grads
+            if node._backprop is not None and node in grads:
+                node._backprop(grads.pop(node), send)
+        return {name: grads[node] if node in grads else np.zeros_like(param.value)
+                for name, (param, node) in self._leaves.items() if param.trainable}
 
 
 # -- numerical verification ---------------------------------------------------

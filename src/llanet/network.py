@@ -5,11 +5,11 @@ shrinks the map), then a stack of "combined modules" - a standard two-conv
 residual block followed by the lossless attention gate - then global average
 pooling and a linear classifier head.
 
-The gate needs the previous module's output (the stem output for the first
-module) at the same shape as the current block output. Inside a stage the
-shapes already agree; at stage boundaries (stride 2 and/or channel growth)
-a learned 1x1 strided projection aligns it, mirroring the residual shortcut
-projection.
+The gate's ``F_pre`` is the module's own input - the previous module's
+output, or the stem output for the first module - at the same shape as the
+current block output. Inside a stage the shapes already agree; at stage
+boundaries (stride 2 and/or channel growth) a learned 1x1 strided
+projection aligns it, mirroring the residual shortcut projection.
 
 Parameters live in a ``ParamStore``: a flat, insertion-ordered namespace of
 uniquely named leaves. Batch-norm running statistics are stored as
@@ -274,9 +274,8 @@ class ModuleTrace:
     """Intermediate nodes of one combined module, for tests and mask dumps."""
 
     name: str
-    f_in: Node
-    prev_out: Node
-    f_pre: Node       # prev_out after alignment (same node when identity)
+    f_in: Node        # module input: the previous module's output, or the stem's
+    f_pre: Node       # f_in after alignment (same node when identity)
     f_cur: Node       # residual block output
     mask: Node | None
     refined: Node     # module output
@@ -307,8 +306,8 @@ def _gate_params(store: ParamStore, cfg: NetworkConfig, m: ModulePlan) -> Attent
                            spec=attention_conv_spec(m.out_channels, cfg.attention_kernel))
 
 
-def _combined_module_graph(graph, f_in: Node, prev_out: Node, store, cfg,
-                           m: ModulePlan, train, update_running) -> ModuleTrace:
+def _combined_module_graph(graph, f_in: Node, store, cfg, m: ModulePlan,
+                           train, update_running) -> ModuleTrace:
     y = _graph_conv(graph, f_in, store, f"{m.name}.conv1",
                     _conv_spec(m.in_channels, m.out_channels, 3, m.stride, 1))
     y = graph.relu(_graph_bn(graph, y, store, f"{m.name}.bn1", train, update_running))
@@ -323,15 +322,15 @@ def _combined_module_graph(graph, f_in: Node, prev_out: Node, store, cfg,
         sc = f_in
     f_cur = graph.relu(graph.add(y, sc))
     if m.projected:
-        f_pre = _graph_conv(graph, prev_out, store, f"{m.name}.align",
+        f_pre = _graph_conv(graph, f_in, store, f"{m.name}.align",
                             _conv_spec(m.in_channels, m.out_channels, 1, m.stride, 0))
     else:
-        f_pre = prev_out
+        f_pre = f_in
     if cfg.attention != "off":
         refined, mask = attention_forward_graph(graph, f_pre, f_cur, _gate_params(store, cfg, m))
     else:
         refined, mask = f_cur, None
-    return ModuleTrace(m.name, f_in, prev_out, f_pre, f_cur, mask, refined)
+    return ModuleTrace(m.name, f_in, f_pre, f_cur, mask, refined)
 
 
 def network_forward_graph(graph: GradGraph, batch, store: ParamStore, cfg: NetworkConfig,
@@ -352,7 +351,7 @@ def network_forward_graph(graph: GradGraph, batch, store: ParamStore, cfg: Netwo
     trace = ForwardTrace(stem=stem)
     prev = stem
     for m in module_plan(cfg):
-        mod = _combined_module_graph(graph, prev, prev, store, cfg, m, train, update_running)
+        mod = _combined_module_graph(graph, prev, store, cfg, m, train, update_running)
         trace.modules.append(mod)
         prev = mod.refined
     pooled = graph.global_avg_pool(prev)
@@ -362,26 +361,11 @@ def network_forward_graph(graph: GradGraph, batch, store: ParamStore, cfg: Netwo
     return trace
 
 
-def network_forward(batch, store: ParamStore, cfg: NetworkConfig, mode: str = "eval") -> np.ndarray:
-    """Plain forward pass returning the (n, K) logits array."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be train or eval, got {mode!r}")
-    graph = GradGraph()
-    trace = network_forward_graph(graph, batch, store, cfg, train=mode == "train",
-                                  update_running=mode == "train")
+def network_forward(batch, store: ParamStore, cfg: NetworkConfig) -> np.ndarray:
+    """Eval-mode forward pass, which leaves the running statistics unchanged;
+    returns the (n, K) logits array."""
+    trace = network_forward_graph(GradGraph(), batch, store, cfg, train=False)
     return trace.logits.value
-
-
-def combined_module_forward(f_in, f_prev_out, store: ParamStore, cfg: NetworkConfig,
-                            module_index: int, train: bool = False):
-    """Run one combined module standalone; returns (refined, mask or None)."""
-    plan = module_plan(cfg)
-    if not 0 <= module_index < len(plan):
-        raise IndexError(f"module index {module_index} out of range [0, {len(plan)})")
-    graph = GradGraph()
-    mod = _combined_module_graph(graph, graph.constant(f_in), graph.constant(f_prev_out),
-                                 store, cfg, plan[module_index], train, update_running=train)
-    return mod.refined.value, None if mod.mask is None else mod.mask.value
 
 
 def network_loss_graph(graph: GradGraph, batch, labels, store, cfg,

@@ -4,8 +4,10 @@ Feature maps are plain numpy arrays of shape (n, c, h, w) - batch, channels,
 height, width - stored row-major, float64 by default. Everything in this
 module is a pure forward kernel and the only copy of the forward math: the
 ops of ``llanet.autodiff`` take their values from these kernels, and their
-adjoints build what only the backward pass needs with the helpers here
-(``_conv_windows``, ``_normalize``).
+adjoints rebuild what only the backward pass needs with the helpers here:
+``_conv_windows`` for the conv and max-pool windows, and ``_normalize``,
+which batch norm's kernel and adjoint share so both normalize with the same
+``BN_EPS``.
 Running batch-norm statistics are owned by the caller and passed in
 explicitly, so kernels keep no hidden state.
 """
@@ -17,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
+
+# Batch norm: variance floor and running-statistics momentum.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 AXIS_NAMES = ("batch", "channels", "height", "width")
 
@@ -163,20 +169,19 @@ def batch_moments(x) -> tuple[np.ndarray, np.ndarray]:
     return x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
 
 
-def _normalize(x, mean, var, eps):
-    """Per-channel (x - mean) / sqrt(var + eps), plus the broadcastable inverse std."""
-    inv = (1.0 / np.sqrt(var + eps))[None, :, None, None]
+def _normalize(x, mean, var):
+    """Per-channel (x - mean) / sqrt(var + BN_EPS), plus the broadcastable inverse std."""
+    inv = (1.0 / np.sqrt(var + BN_EPS))[None, :, None, None]
     return (x - mean[None, :, None, None]) * inv, inv
 
 
 def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
-                eps: float = 1e-5, momentum: float = 0.1,
-                update_running: bool | None = None) -> np.ndarray:
+                update_running: bool = True) -> np.ndarray:
     """Normalise per channel; train mode uses batch statistics, eval the running ones.
 
-    In train mode the running stats are updated in place with the given
-    momentum (variance with the unbiased estimate) unless ``update_running``
-    is explicitly False.
+    In train mode the running stats are updated in place with momentum
+    ``BN_MOMENTUM`` (variance with the unbiased estimate) unless
+    ``update_running`` is False.
     """
     x = _require_nchw(x)
     c = x.shape[1]
@@ -191,14 +196,14 @@ def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
         if m < 2:
             raise ValueError("train-mode batch norm needs at least 2 values per channel")
         mean, var = batch_moments(x)
-        if update_running is None or update_running:
-            stats.mean *= 1.0 - momentum
-            stats.mean += momentum * mean
-            stats.var *= 1.0 - momentum
-            stats.var += momentum * (var * (m / (m - 1.0)))
+        if update_running:
+            stats.mean *= 1.0 - BN_MOMENTUM
+            stats.mean += BN_MOMENTUM * mean
+            stats.var *= 1.0 - BN_MOMENTUM
+            stats.var += BN_MOMENTUM * (var * (m / (m - 1.0)))
     else:
         mean, var = stats.mean, stats.var
-    xhat, _ = _normalize(x, mean, var, eps)
+    xhat, _ = _normalize(x, mean, var)
     return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import tensor
-from .autodiff import GradGraph, GradMap
+from .autodiff import GradGraph
 from .metrics import ConfusionMatrix, challenge_score, metrics_report, summarize
 from .network import (NetworkConfig, ParamStore, network_loss_graph,
                       network_forward, save_checkpoint)
@@ -72,7 +72,7 @@ class OptimizerState:
         self.epoch = 0
 
 
-def sgd_step(store: ParamStore, grads: GradMap, state: OptimizerState, lr: float) -> None:
+def sgd_step(store: ParamStore, grads: dict, state: OptimizerState, lr: float) -> None:
     """g = grad + wd*param; buf = momentum*buf + g; param -= lr*buf (in place)."""
     for p in store.trainable():
         if p.name not in grads:
@@ -193,7 +193,7 @@ def evaluate(store: ParamStore, dataset: LoadedDataset, net_cfg: NetworkConfig,
             crops = data_mod.ten_crop(img, size)
         else:
             crops = [data_mod.center_crop(img, size)]
-        logits = network_forward(_batch_tensor(crops, norm), store, net_cfg, mode="eval")
+        logits = network_forward(_batch_tensor(crops, norm), store, net_cfg)
         probs = tensor.softmax(logits).mean(axis=0)
         pred = int(np.argmax(probs))
         cm.update(int(label), pred)

@@ -1,6 +1,7 @@
 """Tape differentiation: adjoint rules, accumulation, and the finite-difference verifier."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -263,6 +264,24 @@ def test_tape_is_freed_by_reference_counting():
         assert alive() is None  # no gc.collect(): nothing may keep the tape in a cycle
     finally:
         gc.enable()
+
+
+def test_backward_frees_each_cotangent_once_used():
+    # 40 chained ops on a ~1 MB map: keeping every cotangent would peak near 40 MB
+    x = Param("x", np.random.default_rng(11).standard_normal((1, 1, 362, 362)))
+    g = GradGraph()
+    y = g.leaf(x)
+    for _ in range(40):
+        y = g.relu(y)
+    loss = ones_probe(g, y)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / 2 ** 20 < 10
 
 
 def test_relative_error_denominator_floor():

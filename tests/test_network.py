@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from llanet.autodiff import GradGraph
-from llanet.network import (CheckpointError, NetworkConfig, StageSpec, combined_module_forward,
+from llanet.network import (CheckpointError, NetworkConfig, StageSpec,
                             config_digest, count_parameters, feature_shape, init_network,
                             load_checkpoint, module_plan, network_forward,
                             network_forward_graph, preset, save_checkpoint)
@@ -107,9 +107,8 @@ def test_previous_stream_threads_through_modules():
     store = init_network(cfg)
     g = GradGraph()
     trace = network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
-    assert trace.modules[0].prev_out is trace.stem
+    assert trace.modules[0].f_in is trace.stem
     for prev, cur in zip(trace.modules, trace.modules[1:]):
-        assert cur.prev_out is prev.refined
         assert cur.f_in is prev.refined
 
 
@@ -122,11 +121,11 @@ def test_alignment_only_when_shape_changes():
 
     g = GradGraph()
     trace = network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
-    # identity module: f_pre is literally the previous output node
-    assert trace.modules[0].f_pre is trace.modules[0].prev_out
+    # identity module: f_pre is literally the module's input node
+    assert trace.modules[0].f_pre is trace.modules[0].f_in
     # projected module: f_pre is a new node with the block's output shape
     m1 = trace.modules[1]
-    assert m1.f_pre is not m1.prev_out
+    assert m1.f_pre is not m1.f_in
     assert m1.f_pre.value.shape == m1.f_cur.value.shape
 
 
@@ -136,7 +135,11 @@ def test_mask_shape_tracks_each_stage():
     g = GradGraph()
     trace = network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
     assert trace.modules[0].mask.value.shape == (2, 8, 32, 32)
+    # stage boundary halves the spatial dims and doubles the channels
     assert trace.modules[1].mask.value.shape == (2, 16, 16, 16)
+    for mod in trace.modules:
+        assert mod.refined.value.shape == mod.mask.value.shape
+        assert np.all((mod.mask.value > 0) & (mod.mask.value < 1))
 
 
 def test_eval_forward_is_pure():
@@ -144,16 +147,16 @@ def test_eval_forward_is_pure():
     store = init_network(cfg)
     x = batch_for(cfg)
     before = store["s0b0.bn1.running_mean"].value.copy()
-    first = network_forward(x, store, cfg, mode="eval")
+    first = network_forward(x, store, cfg)
     npt.assert_array_equal(store["s0b0.bn1.running_mean"].value, before)
-    npt.assert_array_equal(network_forward(x, store, cfg, mode="eval"), first)
+    npt.assert_array_equal(network_forward(x, store, cfg), first)
 
 
 def test_train_forward_updates_running_stats():
     cfg = preset("tiny")
     store = init_network(cfg)
     before = store["stem.bn.running_mean"].value.copy()
-    network_forward(batch_for(cfg), store, cfg, mode="train")
+    network_forward_graph(GradGraph(), batch_for(cfg), store, cfg, train=True)
     assert np.any(store["stem.bn.running_mean"].value != before)
 
 
@@ -188,21 +191,6 @@ def test_off_mode_passes_block_output_through():
         assert mod.refined is mod.f_cur
 
 
-def test_combined_module_standalone():
-    cfg = preset("tiny")
-    store = init_network(cfg)
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal((1, 8, 32, 32))
-    refined, mask = combined_module_forward(f, f, store, cfg, module_index=0)
-    assert refined.shape == (1, 8, 32, 32) and mask.shape == (1, 8, 32, 32)
-    assert np.all((mask > 0) & (mask < 1))
-    # stage boundary halves the spatial dims and doubles the channels
-    refined1, mask1 = combined_module_forward(refined, refined, store, cfg, module_index=1)
-    assert refined1.shape == (1, 16, 16, 16) and mask1.shape == (1, 16, 16, 16)
-    with pytest.raises(IndexError):
-        combined_module_forward(f, f, store, cfg, module_index=2)
-
-
 def test_variable_input_resolution():
     # evaluation crops are smaller than the nominal training size
     cfg = preset("tiny")
@@ -216,7 +204,8 @@ def test_variable_input_resolution():
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     cfg = preset("tiny", seed=5)
     store = init_network(cfg)
-    network_forward(batch_for(cfg), store, cfg, mode="train")  # move running stats off init
+    # move the running stats off their init values
+    network_forward_graph(GradGraph(), batch_for(cfg), store, cfg, train=True)
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, store, cfg)
 
@@ -232,7 +221,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 def test_checkpoint_load_keeps_running_stat_views_alive(tmp_path):
     cfg = preset("micro")
     store = init_network(cfg)
-    network_forward(batch_for(cfg), store, cfg, mode="train")
+    network_forward_graph(GradGraph(), batch_for(cfg), store, cfg, train=True)
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, store, cfg)
 

@@ -118,7 +118,7 @@ def test_batchnorm_running_stats_update_and_eval():
     rng = np.random.default_rng(6)
     x = rand(rng, 4, 2, 3, 3) + 5.0
     stats = RunningStats.fresh(2)
-    tensor.batchnorm2d(x, np.ones(2), np.zeros(2), stats, train=True, momentum=0.1)
+    tensor.batchnorm2d(x, np.ones(2), np.zeros(2), stats, train=True)
     mu, var = oracles.channel_moments_naive(x)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     npt.assert_allclose(stats.mean, 0.1 * mu, atol=1e-12)

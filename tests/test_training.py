@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from llanet import tensor
-from llanet.autodiff import GradMap, Param
+from llanet.autodiff import Param
 from llanet.data import Image, SampleRecord
 from llanet.network import init_network, network_forward, preset
 from llanet.training import (AugmentConfig, LoadedDataset, Normalization, OptimizerState,
@@ -25,7 +25,7 @@ def store_with(*params):
 
 
 def grads_for(store, **named):
-    g = GradMap()
+    g = {}
     for name, val in named.items():
         g[name] = np.asarray(val, dtype=float)
     return g
@@ -161,7 +161,7 @@ def test_sgd_validates_gradients():
     store = store_with(p)
     state = OptimizerState(store, TrainConfig())
     with pytest.raises(ValueError):
-        sgd_step(store, GradMap(), state, lr=0.1)
+        sgd_step(store, {}, state, lr=0.1)
     with pytest.raises(ValueError):
         sgd_step(store, grads_for(store, x=[1.0, 2.0, 3.0]), state, lr=0.1)
 
@@ -267,7 +267,7 @@ def test_evaluate_single_crop_matches_direct_forward():
     _, preds = evaluate(store, ds, cfg, NORM, crop_size=8)  # full image, no crop effect
     for img, pred in zip(ds.images, preds):
         x = (img.pixels.astype(float) / 255.0 - 0.5) / 0.5
-        logits = network_forward(x[None], store, cfg, mode="eval")
+        logits = network_forward(x[None], store, cfg)
         npt.assert_allclose(pred.probabilities, tensor.softmax(logits)[0], atol=1e-12)
 
 
