@@ -169,8 +169,7 @@ def cmd_dump_attention(args) -> int:
         return _fail(f"module index {args.module_index} out of range "
                      f"[0, {len(plan)})", USAGE_ERROR)
 
-    trace = network_forward_graph(GradGraph(), x, store, cfg.network,
-                                  train=False, update_running=False)
+    trace = network_forward_graph(GradGraph(), x, store, cfg.network, train=False)
     mask = trace.modules[args.module_index].mask.value[0]  # (C, H, W)
 
     out = Path(args.out)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import jsonschema
 
-from .network import NetworkConfig, PRESET_NAMES, preset
+from .network import ATTENTION_MODES, NetworkConfig, PRESET_NAMES, preset
 from .training import AugmentConfig, Normalization, TrainConfig
 
 SEED_ENV_VAR = "LLA_SEED"
@@ -31,7 +31,7 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "preset": {"enum": list(PRESET_NAMES)},
-                "attention": {"enum": ["learned", "frozen", "off"]},
+                "attention": {"enum": list(ATTENTION_MODES)},
                 "attention_kernel": {"type": "integer", "minimum": 1},
                 "num_classes": {"type": "integer", "minimum": 2},
                 "input_channels": {"enum": [1, 3]},
@@ -83,21 +83,13 @@ DEFAULTS = {
         "num_classes": 7,
         "input_channels": 3,
     },
-    "train": {
-        "base_lr": 0.01,
-        "momentum": 0.9,
-        "weight_decay": 5e-4,
-        "batch_size": 256,
-        "decay_start_epoch": 60,
-        "decay_rate": 0.9,
-        "max_epochs": 60,
-        "decay_exempt_norm_bias": True,
-    },
+    # the top-level seed (or LLA_SEED) feeds TrainConfig.seed
+    "train": {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"},
     "data": {
         # train_manifest / val_manifest / eval_crop stay absent unless given
         "mean": [0.5, 0.5, 0.5],
         "std": [0.5, 0.5, 0.5],
-        "augment": {"enabled": True, "pad": 8},
+        "augment": asdict(AugmentConfig()),
         "tencrop_val": False,
     },
 }
@@ -187,9 +179,8 @@ def load_run_config(source, base_dir=None, env=None) -> RunConfig:
     except ValueError as e:
         raise ConfigError([f"/network: {e}"]) from None
 
-    train_sec = dict(merged["train"])
     try:
-        train_cfg = TrainConfig(seed=seed, **train_sec)
+        train_cfg = TrainConfig(seed=seed, **merged["train"])
     except (TypeError, ValueError) as e:
         raise ConfigError([f"/train: {e}"]) from None
 

@@ -162,8 +162,8 @@ class ParamStore:
                             self[f"{prefix}.running_var"].value)
 
 
-def count_parameters(store: ParamStore, trainable_only: bool = True) -> int:
-    return sum(p.value.size for p in store if p.trainable or not trainable_only)
+def count_parameters(store: ParamStore) -> int:
+    return sum(p.value.size for p in store.trainable())
 
 
 # -- layer planning ------------------------------------------------------------

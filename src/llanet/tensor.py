@@ -160,8 +160,8 @@ class RunningStats:
     var: np.ndarray
 
     @classmethod
-    def fresh(cls, channels: int, dtype=DEFAULT_DTYPE) -> "RunningStats":
-        return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
+    def fresh(cls, channels: int) -> "RunningStats":
+        return cls(np.zeros(channels, dtype=DEFAULT_DTYPE), np.ones(channels, dtype=DEFAULT_DTYPE))
 
 
 def batch_moments(x) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,12 @@
 """Finite-difference verification drivers.
 
 Each check builds a tiny randomized instance of one differentiable kernel
-(or the attention gate, or the whole small network), reduces it to a scalar
-through a fixed random weighting so every output element influences the
-loss, and compares tape gradients against central differences.
+(or the attention gate, or the whole small network) and compares tape
+gradients against central differences. Every kernel check but
+softmax cross-entropy, whose loss is already a scalar, goes through
+``_probed``: after the check has drawn its params, it draws one fixed random
+probe of the op's output shape and reduces the output to the scalar
+``<probe, op(params)>``, so every output element influences the loss.
 
 Convention: ReLU inputs are only checked where |x| > 0.1 - the kernel is
 nondifferentiable at 0 and a central difference straddling the kink is
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor
 from .attention import attention_forward_graph, init_attention
 from .autodiff import GradCheckReport, GradGraph, Param, grad_check
 from .network import init_network, network_loss_graph, preset
@@ -27,9 +29,21 @@ def _param(rng, name, shape, scale=1.0):
     return Param(name, scale * rng.standard_normal(shape))
 
 
-def _probe(rng, shape):
-    # fixed weighting drawn once, reused across every finite-difference re-evaluation
-    return rng.standard_normal(shape)
+def _probed(eps, rng, params, op, out_shape, select=None):
+    """Check ``op(graph, *leaves)`` through a probe drawn once from ``rng``
+    and reused across every finite-difference re-evaluation.
+
+    ``op`` is looked up when the check runs (``GradGraph.relu``, or a lambda
+    that adds the op's settings), so a wrapper installed on a ``GradGraph``
+    method is the one that gets called.
+    """
+    probe = rng.standard_normal(out_shape)
+
+    def make_loss():
+        g = GradGraph()
+        return g, g.weighted_sum(op(g, *(g.leaf(p) for p in params)), probe)
+
+    return grad_check(make_loss, params, eps=eps, select=select)
 
 
 def check_conv2d(eps, rng):
@@ -38,15 +52,7 @@ def check_conv2d(eps, rng):
     x = _param(rng, "x", (2, 3, 5, 5))
     w = _param(rng, "w", spec.weight_shape, scale=0.5)
     b = _param(rng, "b", (2,), scale=0.1)
-    out_shape = tensor.conv2d(x.value, w.value, b.value, spec).shape
-    probe = _probe(rng, out_shape)
-
-    def make_loss():
-        g = GradGraph()
-        y = g.conv2d(g.leaf(x), g.leaf(w), g.leaf(b), spec)
-        return g, g.weighted_sum(y, probe)
-
-    return grad_check(make_loss, [x, w, b], eps=eps)
+    return _probed(eps, rng, [x, w, b], lambda g, *leaves: g.conv2d(*leaves, spec), (2, 2, 3, 3))
 
 
 def check_batchnorm(eps, rng, train):
@@ -54,99 +60,51 @@ def check_batchnorm(eps, rng, train):
     gamma = Param("gamma", 0.5 + rng.random(3))
     beta = _param(rng, "beta", (3,), scale=0.3)
     stats = RunningStats(rng.standard_normal(3), 0.5 + rng.random(3))
-    probe = _probe(rng, x.value.shape)
-
-    def make_loss():
-        g = GradGraph()
-        y = g.batchnorm2d(g.leaf(x), g.leaf(gamma), g.leaf(beta), stats,
-                          train=train, update_running=False)
-        return g, g.weighted_sum(y, probe)
-
-    return grad_check(make_loss, [x, gamma, beta], eps=eps)
+    return _probed(eps, rng, [x, gamma, beta],
+                   lambda g, *leaves: g.batchnorm2d(*leaves, stats, train=train, update_running=False),
+                   x.value.shape)
 
 
 def check_relu(eps, rng):
     x = Param("x", rng.standard_normal((2, 3, 4, 4)))
-    probe = _probe(rng, x.value.shape)
-
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.relu(g.leaf(x)), probe)
-
     mask = np.abs(x.value) > RELU_KINK_MARGIN
-    return grad_check(make_loss, [x], eps=eps, select={"x": mask})
+    return _probed(eps, rng, [x], GradGraph.relu, x.value.shape, select={"x": mask})
 
 
 def check_sigmoid(eps, rng):
     x = Param("x", 2.0 * rng.standard_normal((2, 3, 4, 4)))
-    probe = _probe(rng, x.value.shape)
-
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.sigmoid(g.leaf(x)), probe)
-
-    return grad_check(make_loss, [x], eps=eps)
+    return _probed(eps, rng, [x], GradGraph.sigmoid, x.value.shape)
 
 
 def check_concat(eps, rng):
     a = _param(rng, "a", (2, 2, 3, 3))
     b = _param(rng, "b", (2, 3, 3, 3))
-    probe = _probe(rng, (2, 5, 3, 3))
-
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.concat_channels(g.leaf(a), g.leaf(b)), probe)
-
-    return grad_check(make_loss, [a, b], eps=eps)
+    return _probed(eps, rng, [a, b], GradGraph.concat_channels, (2, 5, 3, 3))
 
 
 def check_hadamard(eps, rng):
     a = _param(rng, "a", (2, 3, 4, 4))
     b = _param(rng, "b", (2, 3, 4, 4))
-    probe = _probe(rng, a.value.shape)
-
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.hadamard(g.leaf(a), g.leaf(b)), probe)
-
-    return grad_check(make_loss, [a, b], eps=eps)
+    return _probed(eps, rng, [a, b], GradGraph.hadamard, a.value.shape)
 
 
 def check_maxpool(eps, rng):
     # well-separated values so +/- eps nudges never flip a window's argmax
     vals = rng.permutation(2 * 2 * 6 * 6).astype(float) * 0.1
     x = Param("x", vals.reshape(2, 2, 6, 6))
-    probe = _probe(rng, (2, 2, 3, 3))
-
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.maxpool(g.leaf(x), window=2, stride=2), probe)
-
-    return grad_check(make_loss, [x], eps=eps)
+    return _probed(eps, rng, [x], lambda g, x: g.maxpool(x, window=2, stride=2), (2, 2, 3, 3))
 
 
 def check_global_avg_pool(eps, rng):
     x = _param(rng, "x", (2, 3, 4, 5))
-    probe = _probe(rng, (2, 3, 1, 1))
-
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.global_avg_pool(g.leaf(x)), probe)
-
-    return grad_check(make_loss, [x], eps=eps)
+    return _probed(eps, rng, [x], GradGraph.global_avg_pool, (2, 3, 1, 1))
 
 
 def check_linear(eps, rng):
     x = _param(rng, "x", (2, 5))
     w = _param(rng, "w", (3, 5), scale=0.5)
     b = _param(rng, "b", (3,), scale=0.1)
-    probe = _probe(rng, (2, 3))
-
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.linear(g.leaf(x), g.leaf(w), g.leaf(b)), probe)
-
-    return grad_check(make_loss, [x, w, b], eps=eps)
+    return _probed(eps, rng, [x, w, b], GradGraph.linear, (2, 3))
 
 
 def check_softmax_cross_entropy(eps, rng):
@@ -164,14 +122,10 @@ def check_attention_gate(eps, rng):
     f_pre = _param(rng, "f_pre", (1, 2, 3, 3))
     f_cur = _param(rng, "f_cur", (1, 2, 3, 3))
     gate = init_attention(2, 3, rng, prefix="gate")
-    probe = _probe(rng, f_cur.value.shape)
-
-    def make_loss():
-        g = GradGraph()
-        refined, _ = attention_forward_graph(g, g.leaf(f_pre), g.leaf(f_cur), gate)
-        return g, g.weighted_sum(refined, probe)
-
-    return grad_check(make_loss, [f_pre, f_cur, gate.weight, gate.bias], eps=eps)
+    # the gate enters its own weight and bias; the repeated leaves are the same nodes
+    return _probed(eps, rng, [f_pre, f_cur, gate.weight, gate.bias],
+                   lambda g, f_pre, f_cur, *_: attention_forward_graph(g, f_pre, f_cur, gate)[0],
+                   f_cur.value.shape)
 
 
 KERNEL_CHECKS = (
@@ -188,15 +142,6 @@ KERNEL_CHECKS = (
     ("softmax_cross_entropy", check_softmax_cross_entropy),
     ("attention_gate", check_attention_gate),
 )
-
-
-def kernel_gradchecks(eps: float = 1e-5, seed: int = 0) -> list[tuple[str, GradCheckReport]]:
-    """Finite-difference reports for every kernel plus the attention gate."""
-    results = []
-    for i, (name, fn) in enumerate(KERNEL_CHECKS):
-        rng = np.random.default_rng([seed, i])
-        results.append((name, fn(eps, rng)))
-    return results
 
 
 def network_gradcheck(eps: float = 1e-5, seed: int = 0,
@@ -230,7 +175,8 @@ def run_suite(which: str = "all", eps: float = 1e-5) -> list[tuple[str, GradChec
     """The CLI's gradcheck entry point: "ops", "net" (end-to-end), or "all"."""
     results = []
     if which in ("ops", "all"):
-        results.extend(kernel_gradchecks(eps=eps))
+        results.extend((name, fn(eps, np.random.default_rng([0, i])))
+                       for i, (name, fn) in enumerate(KERNEL_CHECKS))
     if which in ("net", "all"):
         # micro exhaustively, tiny subsampled (a few entries from every parameter)
         results.append(network_gradcheck(eps=eps))

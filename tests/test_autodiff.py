@@ -1,6 +1,7 @@
 """Tape differentiation: adjoint rules, accumulation, and the finite-difference verifier."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -11,7 +12,7 @@ import pytest
 from llanet import network, tensor
 from llanet.autodiff import GradGraph, Param, grad_check, relative_error
 from llanet.tensor import ConvSpec, DimensionError, FORWARD_KERNELS, RunningStats
-from llanet.verify import KERNEL_CHECKS
+from llanet.verify import KERNEL_CHECKS, run_suite
 
 
 def ones_probe(g, node):
@@ -186,6 +187,39 @@ def test_grad_check_max_entries_subsamples():
     assert report.checked == 7
 
 
+def test_grad_check_fails_on_non_finite_gradient():
+    # a NaN compares False against any running maximum; it must still fail the check
+    x = Param("x", np.array([0.5, -1.0, 2.0]))
+    probe = np.array([1.0, np.nan, 1.0])
+
+    def make_loss():
+        g = GradGraph()
+        return g, g.weighted_sum(g.leaf(x), probe)
+
+    report = grad_check(make_loss, [x])
+    assert report.checked == 3
+    assert report.max_error == math.inf
+
+
+def test_kernel_suite_checks_every_entry_it_draws():
+    # a check that silently drops a param (or a mask that admits too few
+    # entries) shows up here as a smaller count
+    assert {name: report.checked for name, report in run_suite("ops")} == {
+        "conv2d": 206,
+        "batchnorm2d[train]": 102,
+        "batchnorm2d[eval]": 102,
+        "activation[relu]": 87,
+        "activation[sigmoid]": 96,
+        "concat_channels": 90,
+        "hadamard": 192,
+        "pool2d[max]": 144,
+        "pool2d[global_avg]": 120,
+        "linear": 28,
+        "softmax_cross_entropy": 14,
+        "attention_gate": 110,
+    }
+
+
 def test_relu_gradient_zero_at_origin_convention():
     x = Param("x", np.array([[[[0.0, -1.0, 2.0]]]]))
     g = GradGraph()
@@ -287,3 +321,8 @@ def test_backward_frees_each_cotangent_once_used():
 def test_relative_error_denominator_floor():
     assert relative_error(0.0, 0.0) == 0.0
     assert relative_error(1e-15, 0.0) == pytest.approx(1e-3)
+    # anything not finite is an infinite error, never a pass
+    assert relative_error(np.nan, 1.0) == math.inf
+    assert relative_error(1.0, np.nan) == math.inf
+    assert relative_error(math.inf, 1.0) == math.inf
+    assert relative_error(-math.inf, -math.inf) == math.inf
