@@ -88,8 +88,8 @@ def _check_pair(f_pre, f_cur, params: AttentionParams):
 
 def attention_forward(f_pre: np.ndarray, f_cur: np.ndarray,
                       params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pass on a throwaway tape; returns (refined map, attention mask)."""
-    graph = GradGraph()
+    """The gate on a graph that records no tape; returns (refined map, attention mask)."""
+    graph = GradGraph(record=False)
     refined, mask = attention_forward_graph(graph, graph.constant(f_pre),
                                             graph.constant(f_cur), params)
     return refined.value, mask.value

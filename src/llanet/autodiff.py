@@ -1,13 +1,25 @@
 """Reverse-mode differentiation over the NCHW kernels.
 
-A ``GradGraph`` is a tape: every op appends a ``Node`` holding the forward
-value and a closure that scatters the node's cotangent to its parents.
+A ``GradGraph`` is a tape: every op whose output needs a gradient appends a
+``Node`` holding the forward value and a closure that scatters the node's
+cotangent to its parents. ``needs_grad`` says which nodes those are: a leaf
+needs a gradient when its ``Param`` is trainable and its graph records, a
+constant never does, and an op's output does when any of its inputs does.
+Any other op output keeps no closure and stays off the tape, so its value
+dies by reference counting once nothing reads it; leaves and constants stay
+off the tape too. ``GradGraph(record=False)`` runs the same ops for
+inference: no node needs a gradient, the tape stays empty and ``backward``
+raises.
+
 ``backward`` walks the tape in reverse creation order, which is a valid
 topological order. It keeps the pending cotangents itself, accumulating
 them across fan-out, frees each one as soon as its node's adjoint has run,
-and returns a plain dict from trainable-leaf name to gradient. Leaves the
-loss never touched get zero gradients rather than being dropped, so
-optimizer code can iterate parameters unconditionally.
+and returns a plain dict from trainable-leaf name to gradient. It keeps a
+cotangent only for an input that needs a gradient, and the conv adjoint
+does not even compute the others (the weight gradient of a frozen gate, the
+col2im into the image batch). Leaves the loss never touched get zero
+gradients rather than being dropped, so optimizer code can iterate
+parameters unconditionally.
 
 Forward values come from the ``llanet.tensor`` kernels; an op keeps only
 what the kernel returns, and arrays that only the backward pass needs (conv
@@ -16,9 +28,10 @@ built inside its adjoint. No closure refers to the graph, so a tape holds
 no reference cycle and is freed by reference counting as soon as its last
 reference goes.
 
-``grad_check`` verifies any graph-building closure against central
-differences; a gradient or difference that is not finite counts as an
-infinite error, so it can never pass a tolerance.
+``grad_check`` verifies any loss-building function against central
+differences, re-evaluating the loss on graphs that record nothing; a
+gradient or difference that is not finite counts as an infinite error, so
+it can never pass a tolerance.
 """
 
 from __future__ import annotations
@@ -53,14 +66,15 @@ class Param:
 
 
 class Node:
-    """One tape entry: forward value plus the local backward rule."""
+    """A graph value; on the tape it also holds its local backward rule."""
 
-    __slots__ = ("value", "_backprop", "label")
+    __slots__ = ("value", "_backprop", "label", "needs_grad")
 
-    def __init__(self, value, backprop=None, label=""):
+    def __init__(self, value, backprop=None, label="", needs_grad=False):
         self.value = value
         self._backprop = backprop
         self.label = label
+        self.needs_grad = needs_grad
 
     @property
     def shape(self):
@@ -71,18 +85,26 @@ class Node:
 
 
 class GradGraph:
-    """Tape of differentiable ops; build a scalar loss, then call ``backward``."""
+    """Tape of differentiable ops; build a scalar loss, then call ``backward``.
 
-    def __init__(self):
+    ``record=False`` builds the same values with no tape, for inference.
+    """
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self._tape: list[Node] = []
         self._leaves: dict[str, tuple[Param, Node]] = {}
 
     # -- graph construction -------------------------------------------------
 
-    def _record(self, value, backprop=None, label="") -> Node:
-        node = Node(value, backprop, label)
-        self._tape.append(node)
-        return node
+    def _record(self, value, backprop, label, *inputs) -> Node:
+        """Tape ``backprop`` only when some input (None for a missing bias) needs a gradient."""
+        for x in inputs:  # a plain loop: any() over a generator costs twice the op's overhead
+            if x is not None and x.needs_grad:
+                node = Node(value, backprop, label, needs_grad=True)
+                self._tape.append(node)
+                return node
+        return Node(value, label=label)
 
     def leaf(self, param: Param) -> Node:
         """Enter ``param`` into the graph; repeated calls return the same node."""
@@ -91,13 +113,13 @@ class GradGraph:
             if hit[0] is not param:
                 raise ValueError(f"two different params share the name {param.name!r}")
             return hit[1]
-        node = self._record(param.value, label=param.name)
+        node = Node(param.value, label=param.name, needs_grad=self.record and param.trainable)
         self._leaves[param.name] = (param, node)
         return node
 
     def constant(self, value) -> Node:
         """A non-differentiable input (e.g. an image batch)."""
-        return self._record(np.asarray(value, dtype=DEFAULT_DTYPE))
+        return Node(np.asarray(value, dtype=DEFAULT_DTYPE))
 
     # -- ops -----------------------------------------------------------------
 
@@ -106,24 +128,27 @@ class GradGraph:
 
         def backprop(dy, send):
             n, _, oh, ow = dy.shape
-            windows, padded_shape = tensor._conv_windows(
-                x.value, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
-            send(weight, np.tensordot(dy, windows, axes=([0, 2, 3], [0, 4, 5])).reshape(spec.weight_shape))
-            if bias is not None:
+            if weight.needs_grad:
+                windows = tensor._conv_windows(
+                    x.value, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
+                send(weight, np.tensordot(dy, windows, axes=([0, 2, 3], [0, 4, 5])).reshape(spec.weight_shape))
+            if bias is not None and bias.needs_grad:
                 send(bias, dy.sum(axis=(0, 2, 3)))
-            wmat = weight.value.reshape(spec.out_channels, -1)
-            dcols = np.matmul(wmat.T, dy.reshape(n, spec.out_channels, oh * ow))
-            dwin = dcols.reshape(n, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
-            dxp = np.zeros(padded_shape, dtype=DEFAULT_DTYPE)
-            s = spec.stride
-            for i in range(spec.kernel_h):
-                for j in range(spec.kernel_w):
-                    dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, :, i, j]
-            p = spec.padding
-            dx = dxp[:, :, p:padded_shape[2] - p, p:padded_shape[3] - p] if p else dxp
-            send(x, dx)
+            if x.needs_grad:
+                wmat = weight.value.reshape(spec.out_channels, -1)
+                dcols = np.matmul(wmat.T, dy.reshape(n, spec.out_channels, oh * ow))
+                dwin = dcols.reshape(n, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
+                h, w = x.value.shape[2:]
+                p = spec.padding
+                s = spec.stride
+                dxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=DEFAULT_DTYPE)
+                for i in range(spec.kernel_h):
+                    for j in range(spec.kernel_w):
+                        dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, :, i, j]
+                dx = dxp[:, :, p:p + h, p:p + w] if p else dxp
+                send(x, dx)
 
-        return self._record(out, backprop, "conv2d")
+        return self._record(out, backprop, "conv2d", x, weight, bias)
 
     def batchnorm2d(self, x: Node, gamma: Node, beta: Node, stats: RunningStats,
                     train: bool, update_running: bool = True) -> Node:
@@ -147,7 +172,7 @@ class GradGraph:
                 dx = dxhat * inv
             send(x, dx)
 
-        return self._record(out, backprop, "batchnorm2d")
+        return self._record(out, backprop, "batchnorm2d", x, gamma, beta)
 
     def relu(self, x: Node) -> Node:
         out = tensor.activation(x.value, "relu")
@@ -155,7 +180,7 @@ class GradGraph:
         def backprop(dy, send):
             send(x, dy * (x.value > 0))
 
-        return self._record(out, backprop, "relu")
+        return self._record(out, backprop, "relu", x)
 
     def sigmoid(self, x: Node) -> Node:
         out = tensor.activation(x.value, "sigmoid")
@@ -163,7 +188,7 @@ class GradGraph:
         def backprop(dy, send):
             send(x, dy * out * (1.0 - out))
 
-        return self._record(out, backprop, "sigmoid")
+        return self._record(out, backprop, "sigmoid", x)
 
     def concat_channels(self, a: Node, b: Node) -> Node:
         out = tensor.concat_channels(a.value, b.value)
@@ -173,7 +198,7 @@ class GradGraph:
             send(a, dy[:, :ca])
             send(b, dy[:, ca:])
 
-        return self._record(out, backprop, "concat")
+        return self._record(out, backprop, "concat", a, b)
 
     def hadamard(self, a: Node, b: Node) -> Node:
         out = tensor.hadamard(a.value, b.value)
@@ -183,7 +208,7 @@ class GradGraph:
             send(a, dy * bv)
             send(b, dy * av)
 
-        return self._record(out, backprop, "hadamard")
+        return self._record(out, backprop, "hadamard", a, b)
 
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
@@ -194,7 +219,7 @@ class GradGraph:
             send(a, dy)
             send(b, dy)
 
-        return self._record(out, backprop, "add")
+        return self._record(out, backprop, "add", a, b)
 
     def maxpool(self, x: Node, window: int, stride: int | None = None) -> Node:
         stride = window if stride is None else stride
@@ -202,7 +227,7 @@ class GradGraph:
 
         def backprop(dy, send):
             n, c, oh, ow = dy.shape
-            windows, _ = tensor._conv_windows(x.value, window, window, stride, 0)
+            windows = tensor._conv_windows(x.value, window, window, stride, 0)
             winner = windows.reshape(n, c, window * window, oh, ow).argmax(axis=2)
             dx = np.zeros_like(x.value)
             ni, ci, oi, oj = np.indices((n, c, oh, ow))
@@ -211,7 +236,7 @@ class GradGraph:
             np.add.at(dx, (ni, ci, rows, cols), dy)
             send(x, dx)
 
-        return self._record(out, backprop, "maxpool")
+        return self._record(out, backprop, "maxpool", x)
 
     def global_avg_pool(self, x: Node) -> Node:
         out = tensor.pool2d(x.value, "global_avg")
@@ -220,7 +245,7 @@ class GradGraph:
         def backprop(dy, send):
             send(x, np.broadcast_to(dy / (h * w), x.value.shape))
 
-        return self._record(out, backprop, "global_avg_pool")
+        return self._record(out, backprop, "global_avg_pool", x)
 
     def flatten(self, x: Node) -> Node:
         n = x.value.shape[0]
@@ -230,7 +255,7 @@ class GradGraph:
         def backprop(dy, send):
             send(x, dy.reshape(shape))
 
-        return self._record(out, backprop, "flatten")
+        return self._record(out, backprop, "flatten", x)
 
     def linear(self, x: Node, weight: Node, bias: Node) -> Node:
         out = tensor.linear(x.value, weight.value, bias.value)
@@ -241,7 +266,7 @@ class GradGraph:
             send(bias, dy.sum(axis=0))
             send(x, dy @ wv)
 
-        return self._record(out, backprop, "linear")
+        return self._record(out, backprop, "linear", x, weight, bias)
 
     def softmax_cross_entropy(self, logits: Node, labels) -> Node:
         labels = np.asarray(labels)
@@ -253,7 +278,7 @@ class GradGraph:
             onehot[np.arange(n), labels] = 1.0
             send(logits, float(dy) * (probs - onehot) / n)
 
-        return self._record(np.float64(loss), backprop, "softmax_cross_entropy")
+        return self._record(np.float64(loss), backprop, "softmax_cross_entropy", logits)
 
     def weighted_sum(self, x: Node, weights) -> Node:
         """Scalar probe <weights, x>; handy for exercising adjoints in isolation."""
@@ -265,25 +290,31 @@ class GradGraph:
         def backprop(dy, send):
             send(x, float(dy) * weights)
 
-        return self._record(out, backprop, "weighted_sum")
+        return self._record(out, backprop, "weighted_sum", x)
+
+    def first_non_finite(self) -> str | None:
+        """Label of the earliest tape node whose value holds a NaN or an inf."""
+        return next((n.label for n in self._tape if not np.isfinite(n.value).all()), None)
 
     # -- backward ------------------------------------------------------------
 
     def backward(self, root: Node) -> dict:
         """Reverse sweep from a scalar ``root``; returns trainable-leaf gradients."""
+        if not self.record:
+            raise RuntimeError("backward on a graph built with record=False")
         if np.size(root.value) != 1:
             raise ValueError(f"backward needs a scalar root, got shape {np.shape(root.value)}")
         grads = {root: np.ones_like(root.value, dtype=DEFAULT_DTYPE)}
 
         def send(parent: Node, grad):
             pending = grads.get(parent)
-            if pending is None:
-                grads[parent] = np.array(grad, dtype=DEFAULT_DTYPE)
-            else:
+            if pending is not None:
                 pending += grad
+            elif parent.needs_grad:
+                grads[parent] = np.array(grad, dtype=DEFAULT_DTYPE)
 
         for node in reversed(self._tape):
-            if node._backprop is not None and node in grads:
+            if node in grads:
                 node._backprop(grads.pop(node), send)
         return {name: grads[node] if node in grads else np.zeros_like(param.value)
                 for name, (param, node) in self._leaves.items() if param.trainable}
@@ -310,14 +341,16 @@ def grad_check(make_loss, params, eps: float = 1e-5, max_entries: int | None = N
                select=None, rng=None) -> GradCheckReport:
     """Compare tape gradients with central differences.
 
-    ``make_loss`` builds a fresh graph from the params' *current* values and
-    returns ``(graph, loss_node)``; it is re-evaluated with each entry nudged
-    by +/- ``eps``. ``select`` optionally maps a param name to a boolean mask
-    of entries eligible for checking (e.g. to stay away from ReLU kinks);
-    ``max_entries`` caps the per-param count by random subsampling.
+    ``make_loss(graph)`` builds the loss on ``graph`` from the params'
+    *current* values and returns the loss node. It runs once on a recording
+    graph for the tape gradients, then on a graph with ``record=False`` for
+    each entry nudged by +/- ``eps``. ``select`` optionally maps a param name
+    to a boolean mask of entries eligible for checking (e.g. to stay away from
+    ReLU kinks); ``max_entries`` caps the per-param count by random
+    subsampling.
     """
-    graph, loss = make_loss()
-    analytic = graph.backward(loss)
+    graph = GradGraph()
+    analytic = graph.backward(make_loss(graph))
     rng = np.random.default_rng(0) if rng is None else rng
     report = GradCheckReport()
     for param in params:
@@ -333,9 +366,9 @@ def grad_check(make_loss, params, eps: float = 1e-5, max_entries: int | None = N
         for idx in indices:
             saved = flat[idx]
             flat[idx] = saved + eps
-            up = float(make_loss()[1].value)
+            up = float(make_loss(GradGraph(record=False)).value)
             flat[idx] = saved - eps
-            down = float(make_loss()[1].value)
+            down = float(make_loss(GradGraph(record=False)).value)
             flat[idx] = saved
             numeric = (up - down) / (2.0 * eps)
             err = relative_error(float(grad[idx]), numeric)

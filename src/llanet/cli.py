@@ -104,7 +104,8 @@ def cmd_train(args) -> int:
         "train_acc": result.final_train.accuracy,
         "val": result.best_val_report,
     }
-    (out / "metrics.json").write_text(json.dumps(final, indent=2) + "\n")
+    with data_mod.atomic_open(out / "metrics.json") as fh:
+        fh.write(json.dumps(final, indent=2) + "\n")
     print(f"trained {cfg.train.max_epochs} epochs on {len(train_data)} images; "
           f"best epoch {result.best_epoch} (score {result.best_score:.4f})")
     print(f"artifacts in {out}: config.json train_log.jsonl best.ckpt metrics.json")
@@ -123,7 +124,8 @@ def cmd_eval(args) -> int:
     cm, predictions = evaluate(store, dataset, cfg.network, cfg.norm,
                                crop_size=cfg.eval_crop, use_tencrop=args.tencrop)
     report = metrics_report(cm)
-    (out / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
+    with data_mod.atomic_open(out / "metrics.json") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sequence_id", "frame_index", "label", "predicted"])
@@ -169,7 +171,7 @@ def cmd_dump_attention(args) -> int:
         return _fail(f"module index {args.module_index} out of range "
                      f"[0, {len(plan)})", USAGE_ERROR)
 
-    trace = network_forward_graph(GradGraph(), x, store, cfg.network, train=False)
+    trace = network_forward_graph(GradGraph(record=False), x, store, cfg.network, train=False)
     mask = trace.modules[args.module_index].mask.value[0]  # (C, H, W)
 
     out = Path(args.out)

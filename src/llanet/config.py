@@ -16,6 +16,7 @@ from pathlib import Path
 
 import jsonschema
 
+from .data import atomic_open
 from .network import ATTENTION_MODES, NetworkConfig, PRESET_NAMES, preset
 from .training import AugmentConfig, Normalization, TrainConfig
 
@@ -220,5 +221,6 @@ def echo_config(cfg: RunConfig, out_dir) -> Path:
         if key in doc.get("data", {}):
             doc["data"][key] = str((cfg.base_dir / doc["data"][key]).resolve())
     path = Path(out_dir) / "config.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path

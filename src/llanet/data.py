@@ -13,8 +13,10 @@ dependencies.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -134,6 +136,22 @@ def read_manifest(path) -> DatasetManifest:
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
     Path(path).write_text(format_manifest(manifest), encoding="utf-8")
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write through a temporary file beside ``path``, moved over ``path`` only
+    once the write completes; after an error the temporary file is removed and
+    an earlier ``path`` is left as it was. Text is UTF-8."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # -- rebalancing ---------------------------------------------------------------

@@ -28,6 +28,7 @@ import numpy as np
 from .attention import AttentionParams, attention_conv_spec, attention_forward_graph, \
     init_attention, kaiming_uniform
 from .autodiff import GradGraph, Node, Param
+from .data import atomic_open
 from .tensor import ConvSpec, DEFAULT_DTYPE, RunningStats
 
 ATTENTION_MODES = ("learned", "frozen", "off")
@@ -362,9 +363,9 @@ def network_forward_graph(graph: GradGraph, batch, store: ParamStore, cfg: Netwo
 
 
 def network_forward(batch, store: ParamStore, cfg: NetworkConfig) -> np.ndarray:
-    """Eval-mode forward pass, which leaves the running statistics unchanged;
-    returns the (n, K) logits array."""
-    trace = network_forward_graph(GradGraph(), batch, store, cfg, train=False)
+    """Eval-mode forward pass on a graph that records no tape, which leaves
+    the running statistics unchanged; returns the (n, K) logits array."""
+    trace = network_forward_graph(GradGraph(record=False), batch, store, cfg, train=False)
     return trace.logits.value
 
 
@@ -382,9 +383,10 @@ CHECKPOINT_MAGIC = b"LLANETCKPT1\n"
 
 
 def save_checkpoint(path, store: ParamStore, cfg: NetworkConfig) -> None:
-    """Binary dump of every store entry (running stats included), bit-exact."""
+    """Binary dump of every store entry (running stats included), bit-exact;
+    an interrupted save leaves any earlier file at ``path`` intact."""
     digest = config_digest(cfg)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<B", len(digest)))
         fh.write(digest)

@@ -102,10 +102,7 @@ def conv_output_hw(spec: ConvSpec, h: int, w: int) -> tuple[int, int]:
 
 
 def _conv_windows(x, kh, kw, stride, padding):
-    """Read-only sliding-window view (n, c, kh, kw, oh, ow) over the padded input.
-
-    Also returns the padded array shape, which the convolution adjoint needs.
-    """
+    """Read-only sliding-window view (n, c, kh, kw, oh, ow) over the padded input."""
     n, c, h, w = x.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
@@ -118,7 +115,7 @@ def _conv_windows(x, kh, kw, stride, padding):
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    return windows, x.shape
+    return windows
 
 
 def conv2d(x, weight, bias, spec: ConvSpec) -> np.ndarray:
@@ -143,7 +140,7 @@ def conv2d(x, weight, bias, spec: ConvSpec) -> np.ndarray:
 
     n = x.shape[0]
     oh, ow = conv_output_hw(spec, x.shape[2], x.shape[3])
-    windows, _ = _conv_windows(x, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
+    windows = _conv_windows(x, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
     cols = windows.reshape(n, spec.in_channels * spec.kernel_h * spec.kernel_w, oh * ow)
     wmat = weight.reshape(spec.out_channels, -1)
     out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
@@ -268,7 +265,7 @@ def pool2d(x, kind: str, window: int | None = None, stride: int | None = None) -
         raise DimensionError(f"window {window} exceeds height {h}", axis="height")
     if window > w:
         raise DimensionError(f"window {window} exceeds width {w}", axis="width")
-    windows, _ = _conv_windows(x, window, window, stride, 0)
+    windows = _conv_windows(x, window, window, stride, 0)
     return windows.max(axis=(2, 3))
 
 

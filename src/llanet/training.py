@@ -60,6 +60,10 @@ def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * cfg.decay_rate ** (epoch - cfg.decay_start_epoch + 1)
 
 
+class DivergenceError(ValueError):
+    """A train step gave a loss or a gradient that is not finite."""
+
+
 class OptimizerState:
     """Momentum buffers mirroring the trainable parameters, plus step/epoch counters."""
 
@@ -142,14 +146,18 @@ def train_epoch(store: ParamStore, state: OptimizerState, dataset: LoadedDataset
                 net_cfg: NetworkConfig, train_cfg: TrainConfig, norm: Normalization,
                 augment: AugmentConfig | None, rng: np.random.Generator,
                 epoch: int) -> EpochStats:
-    """One shuffled pass: forward (train mode) -> backward -> SGD step per batch."""
+    """One shuffled pass: forward (train mode) -> backward -> SGD step per batch.
+
+    Raises ``DivergenceError``, before the step's SGD update, when the loss or
+    a gradient is not finite.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     lr = lr_at_epoch(epoch, train_cfg)
     order = rng.permutation(len(dataset))
     loss_sum = 0.0
     correct = 0
-    for start in range(0, len(order), train_cfg.batch_size):
+    for batch, start in enumerate(range(0, len(order), train_cfg.batch_size)):
         idx = order[start:start + train_cfg.batch_size]
         imgs = []
         for i in idx:
@@ -162,6 +170,12 @@ def train_epoch(store: ParamStore, state: OptimizerState, dataset: LoadedDataset
         graph = GradGraph()
         trace, loss = network_loss_graph(graph, x, labels, store, net_cfg, train=True)
         grads = graph.backward(loss)
+        bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+        if bad or not np.isfinite(loss.value):
+            label = graph.first_non_finite()
+            where = f"tape op {label!r}" if label else f"the gradient of {bad[0]!r}"
+            raise DivergenceError(f"training diverged at epoch {epoch}, batch {batch}: the loss "
+                                  f"or a gradient is not finite, first at {where}")
         sgd_step(store, grads, state, lr)
         loss_sum += float(loss.value) * len(idx)
         correct += int((np.argmax(trace.logits.value, axis=1) == labels).sum())
@@ -247,7 +261,7 @@ def fit(store: ParamStore, net_cfg: NetworkConfig, train_cfg: TrainConfig,
         }
         history.append(entry)
         if log_stream is not None:
-            log_stream.write(json.dumps(entry) + "\n")
+            log_stream.write(json.dumps(entry, allow_nan=False) + "\n")
             log_stream.flush()
         if score > best_score:
             best_epoch, best_score, best_report = epoch, score, metrics_report(cm)

@@ -38,12 +38,8 @@ def _probed(eps, rng, params, op, out_shape, select=None):
     method is the one that gets called.
     """
     probe = rng.standard_normal(out_shape)
-
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(op(g, *(g.leaf(p) for p in params)), probe)
-
-    return grad_check(make_loss, params, eps=eps, select=select)
+    return grad_check(lambda g: g.weighted_sum(op(g, *(g.leaf(p) for p in params)), probe),
+                      params, eps=eps, select=select)
 
 
 def check_conv2d(eps, rng):
@@ -110,12 +106,7 @@ def check_linear(eps, rng):
 def check_softmax_cross_entropy(eps, rng):
     logits = _param(rng, "logits", (2, 7))
     labels = np.array([3, 6])
-
-    def make_loss():
-        g = GradGraph()
-        return g, g.softmax_cross_entropy(g.leaf(logits), labels)
-
-    return grad_check(make_loss, [logits], eps=eps)
+    return grad_check(lambda g: g.softmax_cross_entropy(g.leaf(logits), labels), [logits], eps=eps)
 
 
 def check_attention_gate(eps, rng):
@@ -158,15 +149,9 @@ def network_gradcheck(eps: float = 1e-5, seed: int = 0,
     store = init_network(cfg)
     x = rng.standard_normal((1,) + cfg.input_shape)
     labels = np.array([2])
-
-    def make_loss():
-        g = GradGraph()
-        _, loss = network_loss_graph(g, x, labels, store, cfg, train=True,
-                                     update_running=False)
-        return g, loss
-
-    report = grad_check(make_loss, store.trainable(), eps=eps,
-                        max_entries=max_entries, rng=rng)
+    report = grad_check(lambda g: network_loss_graph(g, x, labels, store, cfg, train=True,
+                                                     update_running=False)[1],
+                        store.trainable(), eps=eps, max_entries=max_entries, rng=rng)
     tag = ",sampled" if max_entries is not None else ""
     return f"network[{preset_name},e2e{tag}]", report
 

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from llanet import network, tensor
+from llanet import attention, autodiff, network, tensor
 from llanet.autodiff import GradGraph, Param, grad_check, relative_error
 from llanet.tensor import ConvSpec, DimensionError, FORWARD_KERNELS, RunningStats
 from llanet.verify import KERNEL_CHECKS, run_suite
@@ -139,10 +139,9 @@ def test_grad_check_quadratic_is_nearly_exact():
     rng = np.random.default_rng(4)
     x = Param("x", rng.standard_normal((2, 2)))
 
-    def make_loss():
-        g = GradGraph()
+    def make_loss(g):
         n = g.leaf(x)
-        return g, g.weighted_sum(g.hadamard(n, n), np.ones((2, 2)))
+        return g.weighted_sum(g.hadamard(n, n), np.ones((2, 2)))
 
     report = grad_check(make_loss, [x])
     assert report.max_error < 1e-9
@@ -154,9 +153,8 @@ def test_grad_check_softmax_cross_entropy():
     logits = Param("logits", rng.standard_normal((2, 7)))
     labels = np.array([2, 5])
 
-    def make_loss():
-        g = GradGraph()
-        return g, g.softmax_cross_entropy(g.leaf(logits), labels)
+    def make_loss(g):
+        return g.softmax_cross_entropy(g.leaf(logits), labels)
 
     assert grad_check(make_loss, [logits]).max_error < 1e-6
 
@@ -165,11 +163,10 @@ def test_grad_check_honors_selection_mask():
     x = Param("x", np.array([0.0, 1.0, -1.0, 0.05]))
     probe = np.ones(4)
 
-    def make_loss():
-        g = GradGraph()
+    def make_loss(g):
         # reshape through a 4d view so relu applies
         n = g.leaf(x)
-        return g, g.weighted_sum(n, probe)
+        return g.weighted_sum(n, probe)
 
     report = grad_check(make_loss, [x], select={"x": np.abs(x.value) > 0.1})
     assert report.checked == 2  # only the entries the mask admits
@@ -179,9 +176,8 @@ def test_grad_check_max_entries_subsamples():
     rng = np.random.default_rng(6)
     x = Param("x", rng.standard_normal(50))
 
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.leaf(x), np.ones(50))
+    def make_loss(g):
+        return g.weighted_sum(g.leaf(x), np.ones(50))
 
     report = grad_check(make_loss, [x], max_entries=7)
     assert report.checked == 7
@@ -192,9 +188,8 @@ def test_grad_check_fails_on_non_finite_gradient():
     x = Param("x", np.array([0.5, -1.0, 2.0]))
     probe = np.array([1.0, np.nan, 1.0])
 
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.leaf(x), probe)
+    def make_loss(g):
+        return g.weighted_sum(g.leaf(x), probe)
 
     report = grad_check(make_loss, [x])
     assert report.checked == 3
@@ -236,9 +231,8 @@ def test_conv_adjoint_against_finite_differences_strided():
     b = Param("b", rng.standard_normal(2) * 0.1)
     probe = rng.standard_normal(tensor.conv2d(x.value, w.value, b.value, spec).shape)
 
-    def make_loss():
-        g = GradGraph()
-        return g, g.weighted_sum(g.conv2d(g.leaf(x), g.leaf(w), g.leaf(b), spec), probe)
+    def make_loss(g):
+        return g.weighted_sum(g.conv2d(g.leaf(x), g.leaf(w), g.leaf(b), spec), probe)
 
     assert grad_check(make_loss, [x, w, b]).max_error < 1e-6
 
@@ -316,6 +310,115 @@ def test_backward_frees_each_cotangent_once_used():
     finally:
         tracemalloc.stop()
     assert (peak - before) / 2 ** 20 < 10
+
+
+def spy_graphs(monkeypatch, module):
+    """Log every ``GradGraph`` that ``module`` creates."""
+    made = []
+
+    class Spy(GradGraph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(module, "GradGraph", Spy)
+    return made
+
+
+def test_inference_records_no_tape(monkeypatch):
+    cfg = network.preset("tiny")
+    store = network.init_network(cfg)
+    x = np.random.default_rng(12).standard_normal((2, 3, 16, 16))
+    recorded = network.network_forward_graph(GradGraph(), x, store, cfg, train=False)
+    made = spy_graphs(monkeypatch, network)
+    logits = network.network_forward(x, store, cfg)
+    assert [g._tape for g in made] == [[]]
+    npt.assert_array_equal(logits, recorded.logits.value)
+    g = GradGraph(record=False)
+    trace = network.network_forward_graph(g, x, store, cfg, train=False)
+    assert g._tape == []
+    for mod, ref in zip(trace.modules, recorded.modules, strict=True):
+        npt.assert_array_equal(mod.mask.value, ref.mask.value)
+    with pytest.raises(RuntimeError):
+        g.backward(ones_probe(g, trace.logits))
+    made = spy_graphs(monkeypatch, attention)
+    gate = attention.init_attention(1, 3, np.random.default_rng(0))
+    attention.attention_forward(x[:, :1], x[:, 1:2], gate)
+    assert [g._tape for g in made] == [[]]
+
+
+def test_grad_check_reevaluates_without_a_tape(monkeypatch):
+    x = Param("x", np.random.default_rng(13).standard_normal((1, 2, 3, 3)))
+    made = spy_graphs(monkeypatch, autodiff)
+    report = grad_check(lambda g: ones_probe(g, g.relu(g.leaf(x))), [x])
+    assert report.checked == 18 and len(made) == 1 + 2 * 18
+    assert made[0].record and all(not g.record and g._tape == [] for g in made[1:])
+
+
+def log_sends(graph):
+    """Wrap each adjoint on the tape so every input it sends a cotangent to is logged."""
+    sent = []
+    for node in graph._tape:
+        def logged(dy, send, backprop=node._backprop):
+            backprop(dy, lambda parent, grad: (sent.append(parent), send(parent, grad)))
+        node._backprop = logged
+    return sent
+
+
+def test_frozen_gate_backward_skips_unneeded_gradients(monkeypatch):
+    cfg = network.preset("micro", attention="frozen")
+    store = network.init_network(cfg)
+    x = np.random.default_rng(14).standard_normal((2, *cfg.input_shape))
+    gate = [p for p in store if ".attn." in p.name]
+    windows = tensor._conv_windows
+
+    def run():
+        g = GradGraph()
+        image = g.constant(x)
+        _, loss = network.network_loss_graph(g, image, [0, 1], store, cfg, train=True,
+                                             update_running=False)
+        sent = log_sends(g)
+        window_channels = []  # input channels of each conv window the adjoints form
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "_conv_windows",
+                      lambda v, *a: window_channels.append(v.shape[1]) or windows(v, *a))
+            grads = g.backward(loss)
+        return grads, sent, window_channels, image, [g.leaf(p) for p in gate]
+
+    grads, sent, window_channels, image, gate_leaves = run()
+    # the gate conv takes 2C = 8 channels: its weight gradient is never formed
+    assert window_channels == [4, 4, 3]
+    assert all(parent.needs_grad for parent in sent)
+    assert not any(parent is node for parent in sent for node in [image, *gate_leaves])
+    # the same step with the gate trainable computes the very same other gradients
+    for p in gate:
+        p.trainable = True
+    try:
+        full, *_ = run()
+    finally:
+        for p in gate:
+            p.trainable = False
+    assert set(full) - set(grads) == {p.name for p in gate}
+    for name, grad in grads.items():
+        npt.assert_array_equal(grad, full[name])
+
+
+def test_tencrop_forward_holds_no_tape():
+    # eight modules on ten 28 px crops: keeping the tape through the forward
+    # peaks near 56 MB; the module outputs the trace keeps plus one conv's
+    # im2col copy stay near 23 MB
+    cfg = network.NetworkConfig(input_shape=(3, 28, 28), stem_channels=8,
+                                stages=(network.StageSpec(8, 8, 1),))
+    store = network.init_network(cfg)
+    crops = np.random.default_rng(15).standard_normal((10, 3, 28, 28))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        network.network_forward(crops, store, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / 2 ** 20 < 35
 
 
 def test_relative_error_denominator_floor():

@@ -208,14 +208,42 @@ def test_train_cli_produces_artifacts(cli_root, tmp_path, capsys):
     assert "best epoch" in capsys.readouterr().out
 
 
+def with_changes(cli_root, tmp_path, name, **sections):
+    """A copy of the CLI run config with some section entries replaced."""
+    cfg = json.loads((cli_root / "run.json").read_text())
+    cfg["data"]["train_manifest"] = str(cli_root / "train.csv")
+    for section, entries in sections.items():
+        cfg[section].update(entries)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def test_train_cli_is_bit_reproducible(cli_root, tmp_path):
-    outs = [tmp_path / "a", tmp_path / "b"]
-    digests = []
-    for out in outs:
-        assert run_cli("train", "--config", cli_root / "run.json", "--out", out) == 0
-        digests.append([hashlib.sha256((out / n).read_bytes()).hexdigest()
-                        for n in ("metrics.json", "best.ckpt", "train_log.jsonl")])
-    assert digests[0] == digests[1]
+    # frozen gates take their own backward path: no gate weight gradient at all
+    for config in (cli_root / "run.json",
+                   with_changes(cli_root, tmp_path, "frozen.json", network={"attention": "frozen"})):
+        digests = []
+        for out in (tmp_path / config.stem / "a", tmp_path / config.stem / "b"):
+            assert run_cli("train", "--config", config, "--out", out) == 0
+            digests.append([hashlib.sha256((out / n).read_bytes()).hexdigest()
+                            for n in ("metrics.json", "best.ckpt", "train_log.jsonl")])
+        assert digests[0] == digests[1]
+
+
+def test_train_cli_fails_loudly_on_divergence(cli_root, tmp_path, capsys):
+    # the first step overflows the weights; the second step's forward is not finite
+    config = with_changes(cli_root, tmp_path, "diverge.json", train={"base_lr": 1e300})
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        assert run_cli("train", "--config", config, "--out", out) == 1
+    assert "diverged at epoch 1, batch 0" in capsys.readouterr().err
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for line in (out / "train_log.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=reject)
 
 
 def test_train_cli_honors_seed_env(cli_root, tmp_path, monkeypatch):

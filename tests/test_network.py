@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from llanet.autodiff import GradGraph
+from llanet.autodiff import GradGraph, Param
 from llanet.network import (CheckpointError, NetworkConfig, StageSpec,
                             config_digest, count_parameters, feature_shape, init_network,
                             load_checkpoint, module_plan, network_forward,
@@ -266,6 +266,20 @@ def test_checkpoint_reruns_identical_bytes(tmp_path):
     ha = hashlib.sha256((tmp_path / "a.ckpt").read_bytes()).hexdigest()
     hb = hashlib.sha256((tmp_path / "b.ckpt").read_bytes()).hexdigest()
     assert ha == hb
+
+
+def test_interrupted_checkpoint_save_keeps_the_previous_file(tmp_path):
+    cfg = preset("micro", seed=2)
+    store = init_network(cfg)
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, store, cfg)
+    saved = path.read_bytes()
+    # a name that cannot be encoded fails the save after every other entry is written
+    store.add(Param("\udcff", np.zeros(1)))
+    with pytest.raises(UnicodeEncodeError):
+        save_checkpoint(path, store, cfg)
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
 
 def test_config_digest_tracks_every_field():

@@ -12,8 +12,9 @@ from llanet import tensor
 from llanet.autodiff import Param
 from llanet.data import Image, SampleRecord
 from llanet.network import init_network, network_forward, preset
-from llanet.training import (AugmentConfig, LoadedDataset, Normalization, OptimizerState,
-                             TrainConfig, evaluate, fit, lr_at_epoch, sgd_step, train_epoch)
+from llanet.training import (AugmentConfig, DivergenceError, LoadedDataset, Normalization,
+                             OptimizerState, TrainConfig, evaluate, fit, lr_at_epoch, sgd_step,
+                             train_epoch)
 from llanet.network import ParamStore
 
 
@@ -243,6 +244,22 @@ def test_epoch_counter_advances():
     train_epoch(store, state, micro_dataset(), cfg, tc, NORM, None,
                 np.random.default_rng(0), epoch=0)
     assert state.epoch == 1 and state.step_count == 1  # 4 images, one batch
+
+
+def test_divergence_stops_the_epoch_before_the_update():
+    cfg = preset("micro", seed=0)
+    store = init_network(cfg)
+    store["head.bias"].value[0] = np.inf  # every logit row gets an inf: the loss is NaN
+    before = {p.name: p.value.copy() for p in store.trainable()}
+    tc = TrainConfig(batch_size=2)
+    state = OptimizerState(store, tc)
+    with pytest.raises(DivergenceError, match=r"epoch 3, batch 0: .* tape op 'linear'"), \
+            np.errstate(invalid="ignore"):
+        train_epoch(store, state, micro_dataset(), cfg, tc, NORM, None,
+                    np.random.default_rng(0), epoch=3)
+    assert state.step_count == 0
+    for p in store.trainable():
+        npt.assert_array_equal(p.value, before[p.name])
 
 
 # -- evaluation --------------------------------------------------------------------
