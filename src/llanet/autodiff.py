@@ -17,16 +17,20 @@ them across fan-out, frees each one as soon as its node's adjoint has run,
 and returns a plain dict from trainable-leaf name to gradient. It keeps a
 cotangent only for an input that needs a gradient, and the conv adjoint
 does not even compute the others (the weight gradient of a frozen gate, the
-col2im into the image batch). Leaves the loss never touched get zero
+input gradient of the image batch). Leaves the loss never touched get zero
 gradients rather than being dropped, so optimizer code can iterate
 parameters unconditionally.
 
 Forward values come from the ``llanet.tensor`` kernels; an op keeps only
-what the kernel returns, and arrays that only the backward pass needs (conv
-windows, ReLU masks, max-pool winners, the normalized batch-norm input) are
-built inside its adjoint. No closure refers to the graph, so a tape holds
-no reference cycle and is freed by reference counting as soon as its last
-reference goes.
+what the kernel returns, and arrays that only the backward pass needs (the
+conv's padded input, ReLU masks, max-pool winners, the normalized
+batch-norm input) are built inside its adjoint. The conv adjoint takes dW
+and dx from ``tensor.conv2d_weight_grad`` and ``tensor.conv2d_input_grad``:
+stride-1 convs on large enough maps run as kh*kw GEMMs on shifted taps of
+one padded buffer, every other conv through im2col (the ``llanet.tensor``
+docstring describes both layouts and the rule between them). No closure
+refers to the graph, so a tape holds no reference cycle and is freed by
+reference counting as soon as its last reference goes.
 
 ``grad_check`` verifies any loss-building function against central
 differences, re-evaluating the loss on graphs that record nothing; a
@@ -66,15 +70,16 @@ class Param:
 
 
 class Node:
-    """A graph value; on the tape it also holds its local backward rule."""
+    """A graph value; on the tape it also holds its local backward rule and its inputs."""
 
-    __slots__ = ("value", "_backprop", "label", "needs_grad")
+    __slots__ = ("value", "_backprop", "label", "needs_grad", "inputs")
 
-    def __init__(self, value, backprop=None, label="", needs_grad=False):
+    def __init__(self, value, backprop=None, label="", needs_grad=False, inputs=()):
         self.value = value
         self._backprop = backprop
         self.label = label
         self.needs_grad = needs_grad
+        self.inputs = inputs
 
     @property
     def shape(self):
@@ -101,7 +106,7 @@ class GradGraph:
         """Tape ``backprop`` only when some input (None for a missing bias) needs a gradient."""
         for x in inputs:  # a plain loop: any() over a generator costs twice the op's overhead
             if x is not None and x.needs_grad:
-                node = Node(value, backprop, label, needs_grad=True)
+                node = Node(value, backprop, label, True, inputs)
                 self._tape.append(node)
                 return node
         return Node(value, label=label)
@@ -127,26 +132,12 @@ class GradGraph:
         out = tensor.conv2d(x.value, weight.value, None if bias is None else bias.value, spec)
 
         def backprop(dy, send):
-            n, _, oh, ow = dy.shape
             if weight.needs_grad:
-                windows = tensor._conv_windows(
-                    x.value, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
-                send(weight, np.tensordot(dy, windows, axes=([0, 2, 3], [0, 4, 5])).reshape(spec.weight_shape))
+                send(weight, tensor.conv2d_weight_grad(x.value, dy, spec))
             if bias is not None and bias.needs_grad:
                 send(bias, dy.sum(axis=(0, 2, 3)))
             if x.needs_grad:
-                wmat = weight.value.reshape(spec.out_channels, -1)
-                dcols = np.matmul(wmat.T, dy.reshape(n, spec.out_channels, oh * ow))
-                dwin = dcols.reshape(n, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
-                h, w = x.value.shape[2:]
-                p = spec.padding
-                s = spec.stride
-                dxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=DEFAULT_DTYPE)
-                for i in range(spec.kernel_h):
-                    for j in range(spec.kernel_w):
-                        dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, :, i, j]
-                dx = dxp[:, :, p:p + h, p:p + w] if p else dxp
-                send(x, dx)
+                send(x, tensor.conv2d_input_grad(weight.value, dy, spec, *x.value.shape[2:]))
 
         return self._record(out, backprop, "conv2d", x, weight, bias)
 
@@ -292,9 +283,17 @@ class GradGraph:
 
         return self._record(out, backprop, "weighted_sum", x)
 
-    def first_non_finite(self) -> str | None:
-        """Label of the earliest tape node whose value holds a NaN or an inf."""
-        return next((n.label for n in self._tape if not np.isfinite(n.value).all()), None)
+    def first_non_finite(self) -> tuple[str, str | None] | None:
+        """Op kind of the earliest tape node whose value holds a NaN or an inf,
+        and the name of the param it reads (its first non-finite one, else its
+        first; None for an op that reads no param)."""
+        node = next((n for n in self._tape if not np.isfinite(n.value).all()), None)
+        if node is None:
+            return None
+        names = {id(leaf): name for name, (_, leaf) in self._leaves.items()}
+        params = [x for x in node.inputs if id(x) in names]
+        params.sort(key=lambda leaf: bool(np.isfinite(leaf.value).all()))
+        return node.label, names[id(params[0])] if params else None
 
     # -- backward ------------------------------------------------------------
 

@@ -1,15 +1,49 @@
 """Dense NCHW tensor kernels.
 
 Feature maps are plain numpy arrays of shape (n, c, h, w) - batch, channels,
-height, width - stored row-major, float64 by default. Everything in this
-module is a pure forward kernel and the only copy of the forward math: the
-ops of ``llanet.autodiff`` take their values from these kernels, and their
-adjoints rebuild what only the backward pass needs with the helpers here:
-``_conv_windows`` for the conv and max-pool windows, and ``_normalize``,
-which batch norm's kernel and adjoint share so both normalize with the same
-``BN_EPS``.
+height, width - stored row-major, float64 by default. The forward kernels
+here are the only copy of the forward math: the ops of ``llanet.autodiff``
+take their values from them, and their adjoints rebuild what only the
+backward pass needs with the helpers here: ``conv2d_weight_grad`` and
+``conv2d_input_grad`` for the conv, ``_conv_windows`` for the max-pool
+windows, and ``_normalize``, which batch norm's kernel and adjoint share so
+both normalize with the same ``BN_EPS``.
 Running batch-norm statistics are owned by the caller and passed in
 explicitly, so kernels keep no hidden state.
+
+A conv runs in one of two layouts, picked from its shapes alone:
+
+- im2col: the sliding-window view is copied to a (n, c*kh*kw, oh*ow) column
+  matrix for one GEMM with K = c*kh*kw. Its adjoint takes dW by
+  ``tensordot`` over the window view, and dx by one GEMM into the column
+  shape plus a kh*kw-pass col2im.
+- taps (stride 1 only; the kn2row/MEC family of low-memory convs): the input
+  is zero-padded once into (n, c, hp + 1, wp) and viewed flat as
+  (n, c, (hp + 1) * wp). Kernel tap (i, j) reads the slice at offset
+  i*wp + j of length oh*wp, which BLAS takes with no copy, so the conv is
+  kh*kw GEMMs with K = c and no column matrix. Each output row carries
+  wp - ow garbage columns, dropped at the end; the spare row keeps the last
+  tap's slice in bounds. The adjoint zero-pads dy to width wp, so the
+  garbage columns add nothing: dW[:, :, i, j] is one GEMM dy_pad @ tap^T,
+  and dx adds W_ij^T @ dy_pad into the shifted slice of a flat dx buffer.
+
+Taps pay a copy of the weight permuted to (kh, kw, o, c) per call and run
+GEMMs with K = c rather than c*kh*kw; both outweigh the saved column matrix
+once the weight (kh*kw*o per input channel) is larger than the output map
+(oh*ow per channel), as on small maps with wide channels. And the tap dW
+reads dy once per tap, which costs more than copying the column matrix when
+that has fewer rows (kh*kw*c) than dy (o), as for a 3-channel stem with 64
+out channels. So the adjoint runs on taps for stride-1 convs with more than
+one tap whose map is at least that large and whose column matrix is no
+smaller than dy (``_adjoint_on_taps``), and the forward only for those over
+at least ``TAP_FORWARD_MIN_CHANNELS`` input channels
+(``_forward_on_taps``). That keeps the 3-channel stems, where taps lose, and
+every forward of a narrow network such as the ``tiny`` preset on im2col, so
+the eval outputs of its checkpoints keep the bits earlier versions wrote,
+though taps measured alone are also faster on its 8 to 32-channel convs. A
+conv on taps sums in a different order, so its values can differ from
+im2col in the last bits. ``scripts/conv_layouts.py`` times both layouts on
+every conv of a preset.
 """
 
 from __future__ import annotations
@@ -23,6 +57,9 @@ DEFAULT_DTYPE = np.float64
 # Batch norm: variance floor and running-statistics momentum.
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+
+# Conv forwards over fewer input channels keep the im2col layout.
+TAP_FORWARD_MIN_CHANNELS = 64
 
 AXIS_NAMES = ("batch", "channels", "height", "width")
 
@@ -118,6 +155,124 @@ def _conv_windows(x, kh, kw, stride, padding):
     return windows
 
 
+def _adjoint_on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
+    """Whether the conv adjoint runs on taps: stride 1, more than one tap, a
+    weight (kh*kw*o per input channel) no larger than the output map, and a
+    column matrix (kh*kw*c rows) no smaller than dy (o rows)."""
+    taps = spec.kernel_h * spec.kernel_w
+    return (spec.stride == 1 and taps > 1 and oh * ow >= taps * spec.out_channels
+            and taps * spec.in_channels >= spec.out_channels)
+
+
+def _forward_on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
+    """Whether the conv forward runs on taps: as the adjoint, over at least
+    ``TAP_FORWARD_MIN_CHANNELS`` input channels."""
+    return _adjoint_on_taps(spec, oh, ow) and spec.in_channels >= TAP_FORWARD_MIN_CHANNELS
+
+
+def _tap_input(x, spec: ConvSpec) -> np.ndarray:
+    """``x`` zero-padded into (n, c, hp + 1, wp) and viewed as (n, c, (hp + 1) * wp)."""
+    n, c, h, w = x.shape
+    p = spec.padding
+    buf = np.zeros((n, c, h + 2 * p + 1, w + 2 * p), dtype=x.dtype)
+    buf[:, :, p:p + h, p:p + w] = x
+    return buf.reshape(n, c, -1)
+
+
+def _tap_cotangent(dy, wp: int) -> np.ndarray:
+    """``dy`` (n, o, oh, ow) zero-padded to width ``wp`` and viewed as (n, o, oh * wp)."""
+    n, o, oh, ow = dy.shape
+    buf = np.zeros((n, o, oh, wp), dtype=dy.dtype)
+    buf[..., :ow] = dy
+    return buf.reshape(n, o, oh * wp)
+
+
+def _tap_offsets(spec: ConvSpec, wp: int) -> list[int]:
+    """Offset of each kernel tap (i, j), row-major, in a flat map of row width ``wp``."""
+    return [i * wp + j for i in range(spec.kernel_h) for j in range(spec.kernel_w)]
+
+
+def _tap_weights(weight) -> np.ndarray:
+    """``weight`` permuted to a contiguous (kh*kw, o, c), taps in row-major order:
+    numpy would copy a strided ``weight[:, :, i, j]`` on every GEMM it is passed to."""
+    o, c, kh, kw = weight.shape
+    return weight.transpose(2, 3, 0, 1).reshape(kh * kw, o, c)
+
+
+def _im2col_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    windows = _conv_windows(x, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
+    cols = windows.reshape(x.shape[0], spec.in_channels * spec.kernel_h * spec.kernel_w, oh * ow)
+    wmat = weight.reshape(spec.out_channels, -1)
+    return np.matmul(wmat, cols).reshape(x.shape[0], spec.out_channels, oh, ow)
+
+
+def _tap_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    """Tap-layout conv; returns a (n, o, oh, ow) view of the (n, o, oh, wp) sums."""
+    wp = x.shape[3] + 2 * spec.padding
+    span = oh * wp
+    flat = _tap_input(x, spec)
+    (w0, off0), *rest = zip(_tap_weights(weight), _tap_offsets(spec, wp))
+    out = np.matmul(w0, flat[:, :, off0:off0 + span])
+    part = np.empty_like(out)
+    for w_t, off in rest:
+        out += np.matmul(w_t, flat[:, :, off:off + span], out=part)
+    return out.reshape(x.shape[0], spec.out_channels, oh, wp)[..., :ow]
+
+
+def _im2col_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
+    windows = _conv_windows(x, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
+    return np.tensordot(dy, windows, axes=([0, 2, 3], [0, 4, 5])).reshape(spec.weight_shape)
+
+
+def _tap_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
+    wp = x.shape[3] + 2 * spec.padding
+    span = dy.shape[2] * wp
+    flat = _tap_input(x, spec)
+    dyf = _tap_cotangent(dy, wp)
+    dw = np.stack([np.matmul(dyf, flat[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
+                   for off in _tap_offsets(spec, wp)], axis=-1)
+    return dw.reshape(spec.weight_shape)
+
+
+def _im2col_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
+    n, _, oh, ow = dy.shape
+    wmat = weight.reshape(spec.out_channels, -1)
+    dcols = np.matmul(wmat.T, dy.reshape(n, spec.out_channels, oh * ow))
+    dwin = dcols.reshape(n, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
+    p, s = spec.padding, spec.stride
+    dxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
+    for i in range(spec.kernel_h):
+        for j in range(spec.kernel_w):
+            dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, :, i, j]
+    return dxp[:, :, p:p + h, p:p + w] if p else dxp
+
+
+def _tap_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
+    n, _, oh, _ = dy.shape
+    p = spec.padding
+    wp = w + 2 * p
+    span = oh * wp
+    dyf = _tap_cotangent(dy, wp)
+    dxf = np.zeros((n, spec.in_channels, (h + 2 * p + 1) * wp), dtype=np.result_type(weight, dy))
+    part = None
+    for w_t, off in zip(_tap_weights(weight), _tap_offsets(spec, wp)):
+        part = np.matmul(w_t.T, dyf, out=part)
+        dxf[:, :, off:off + span] += part
+    return dxf.reshape(n, spec.in_channels, h + 2 * p + 1, wp)[:, :, p:p + h, p:p + w]
+
+
+def conv2d_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
+    """Gradient of conv2d's weight, given its input ``x`` and output cotangent ``dy``."""
+    on_taps = _adjoint_on_taps(spec, dy.shape[2], dy.shape[3])
+    return (_tap_weight_grad if on_taps else _im2col_weight_grad)(x, dy, spec)
+
+
+def conv2d_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
+    """Gradient of conv2d's h x w input, given its weight and output cotangent ``dy``."""
+    on_taps = _adjoint_on_taps(spec, dy.shape[2], dy.shape[3])
+    return (_tap_input_grad if on_taps else _im2col_input_grad)(weight, dy, spec, h, w)
+
+
 def conv2d(x, weight, bias, spec: ConvSpec) -> np.ndarray:
     """Cross-correlate ``x`` (n, c, h, w) with ``weight`` (out, in, kh, kw)."""
     x = _require_nchw(x)
@@ -138,12 +293,11 @@ def conv2d(x, weight, bias, spec: ConvSpec) -> np.ndarray:
     elif bias is not None:
         raise DimensionError("spec declares no bias but one was given", axis="bias")
 
-    n = x.shape[0]
     oh, ow = conv_output_hw(spec, x.shape[2], x.shape[3])
-    windows = _conv_windows(x, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
-    cols = windows.reshape(n, spec.in_channels * spec.kernel_h * spec.kernel_w, oh * ow)
-    wmat = weight.reshape(spec.out_channels, -1)
-    out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
+    if _forward_on_taps(spec, oh, ow):
+        out = _tap_forward(x, weight, spec, oh, ow)
+        return out + bias[None, :, None, None] if spec.has_bias else np.ascontiguousarray(out)
+    out = _im2col_forward(x, weight, spec, oh, ow)
     if spec.has_bias:
         out += bias[None, :, None, None]
     return out
@@ -205,11 +359,12 @@ def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=DEFAULT_DTYPE)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below: with e = exp(-|x|) <= 1
+    # neither side overflows, and no boolean-mask gather or scatter is needed
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    out = out.astype(DEFAULT_DTYPE, copy=False)
     # keep the open interval (0, 1) even when exp() underflows
     info = np.finfo(out.dtype)
     np.clip(out, info.smallest_normal, 1.0 - info.epsneg, out=out)

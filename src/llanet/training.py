@@ -172,8 +172,11 @@ def train_epoch(store: ParamStore, state: OptimizerState, dataset: LoadedDataset
         grads = graph.backward(loss)
         bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
         if bad or not np.isfinite(loss.value):
-            label = graph.first_non_finite()
-            where = f"tape op {label!r}" if label else f"the gradient of {bad[0]!r}"
+            first = graph.first_non_finite()
+            if first is None:
+                where = f"the gradient of {bad[0]!r}"
+            else:
+                where = f"tape op {first[0]!r}" + (f" ({first[1]})" if first[1] else "")
             raise DivergenceError(f"training diverged at epoch {epoch}, batch {batch}: the loss "
                                   f"or a gradient is not finite, first at {where}")
         sgd_step(store, grads, state, lr)

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from llanet import attention, autodiff, network, tensor
 from llanet.autodiff import GradGraph, Param, grad_check, relative_error
 from llanet.tensor import ConvSpec, DimensionError, FORWARD_KERNELS, RunningStats
@@ -237,6 +238,95 @@ def test_conv_adjoint_against_finite_differences_strided():
     assert grad_check(make_loss, [x, w, b]).max_error < 1e-6
 
 
+# (batch, in, out, kernel, padding, stride, bias, h, w): shapes on each side of
+# the conv layout rules in ``tensor``
+CONV_CASES = [
+    (1, 64, 2, 3, 1, 1, True, 6, 7),    # taps forward and adjoint
+    (2, 64, 1, 5, 2, 1, False, 5, 8),   # taps forward and adjoint, batched
+    (2, 3, 2, 3, 0, 1, True, 9, 6),     # narrow: im2col forward, taps adjoint
+    (2, 6, 1, 5, 0, 1, False, 9, 11),   # narrow: im2col forward, taps adjoint
+    (2, 64, 2, 5, 1, 1, True, 8, 6),    # map small for the kernel: im2col
+    (1, 4, 8, 3, 1, 1, False, 4, 5),    # map small for the out channels: im2col
+    (1, 1, 12, 3, 1, 1, True, 12, 11),  # fewer column rows than out channels: im2col
+    (2, 3, 2, 3, 1, 2, True, 13, 10),   # stride 2, on a map taps would take: im2col
+    (3, 4, 3, 1, 0, 1, True, 5, 6),     # 1x1: im2col
+    (1, 64, 4, 1, 2, 2, False, 6, 5),   # 1x1, stride 2: im2col
+]
+
+
+def conv_case(case, seed):
+    n, c, o, k, padding, stride, has_bias, h, w = case
+    spec = ConvSpec(o, c, k, k, stride=stride, padding=padding, has_bias=has_bias)
+    rng = np.random.default_rng(seed)
+    x = Param("x", rng.standard_normal((n, c, h, w)))
+    weight = Param("w", rng.standard_normal(spec.weight_shape) * 0.5)
+    bias = Param("b", rng.standard_normal(o) * 0.1) if has_bias else None
+    return spec, x, weight, bias
+
+
+def layouts(spec, x):
+    oh, ow = tensor.conv_output_hw(spec, *x.value.shape[2:])
+    return ("taps" if tensor._forward_on_taps(spec, oh, ow) else "im2col",
+            "taps" if tensor._adjoint_on_taps(spec, oh, ow) else "im2col")
+
+
+def test_conv_cases_cover_every_layout_pair():
+    picks = {layouts(*conv_case(case, 0)[:2]) for case in CONV_CASES}
+    assert picks == {("taps", "taps"), ("im2col", "taps"), ("im2col", "im2col")}
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv_layouts_against_oracle_and_finite_differences(case):
+    spec, x, weight, bias = conv_case(case, 20)
+    params = [x, weight] + ([bias] if bias is not None else [])
+    bias_value = None if bias is None else bias.value
+    out = tensor.conv2d(x.value, weight.value, bias_value, spec)
+    want = oracles.conv2d_naive(x.value, weight.value, bias_value, spec.stride, spec.padding)
+    npt.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    probe = np.random.default_rng(21).standard_normal(out.shape)
+
+    def make_loss(g):
+        b = None if bias is None else g.leaf(bias)
+        return g.weighted_sum(g.conv2d(g.leaf(x), g.leaf(weight), b, spec), probe)
+
+    report = grad_check(make_loss, params, max_entries=12, rng=np.random.default_rng(22))
+    assert report.checked == sum(min(12, p.value.size) for p in params)
+    assert report.max_error < 1e-6
+    if spec.stride == 1 and spec.kernel_h > 1:  # both layouts can run: they agree
+        xv, wv, dy = x.value, weight.value, probe
+        (oh, ow), (h, w) = out.shape[2:], xv.shape[2:]
+        for taps, im2col in [(tensor._tap_forward(xv, wv, spec, oh, ow),
+                              tensor._im2col_forward(xv, wv, spec, oh, ow)),
+                             (tensor._tap_weight_grad(xv, dy, spec),
+                              tensor._im2col_weight_grad(xv, dy, spec)),
+                             (tensor._tap_input_grad(wv, dy, spec, h, w),
+                              tensor._im2col_input_grad(wv, dy, spec, h, w))]:
+            npt.assert_allclose(taps, im2col, rtol=1e-12, atol=1e-12)
+
+
+def test_tap_adjoint_skips_a_frozen_weight_and_a_constant_input(monkeypatch):
+    spec, x, weight, bias = conv_case(CONV_CASES[0], 23)
+    assert layouts(spec, x) == ("taps", "taps")
+    calls = []
+    for name in ("_tap_weight_grad", "_tap_input_grad"):
+        kernel = getattr(tensor, name)
+        monkeypatch.setattr(tensor, name,
+                            lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
+    weight.trainable = False
+
+    def grads(image):
+        g = GradGraph()
+        x_node = g.constant(x.value) if image else g.leaf(x)
+        conv = g.conv2d(x_node, g.leaf(weight), g.leaf(bias), spec)
+        return g.backward(g.weighted_sum(conv, np.ones(conv.shape)))
+
+    assert set(grads(image=True)) == {"b"} and calls == []
+    assert set(grads(image=False)) == {"b", "x"} and calls == ["_tap_input_grad"]
+    weight.trainable = True
+    calls.clear()
+    assert set(grads(image=True)) == {"b", "w"} and calls == ["_tap_weight_grad"]
+
+
 def test_maxpool_overlapping_adjoint():
     # overlapping windows route gradient to the same winner multiple times
     rng = np.random.default_rng(8)
@@ -370,7 +460,7 @@ def test_frozen_gate_backward_skips_unneeded_gradients(monkeypatch):
     store = network.init_network(cfg)
     x = np.random.default_rng(14).standard_normal((2, *cfg.input_shape))
     gate = [p for p in store if ".attn." in p.name]
-    windows = tensor._conv_windows
+    weight_grad = tensor.conv2d_weight_grad
 
     def run():
         g = GradGraph()
@@ -378,16 +468,16 @@ def test_frozen_gate_backward_skips_unneeded_gradients(monkeypatch):
         _, loss = network.network_loss_graph(g, image, [0, 1], store, cfg, train=True,
                                              update_running=False)
         sent = log_sends(g)
-        window_channels = []  # input channels of each conv window the adjoints form
+        dw_channels = []  # input channels of each conv weight gradient the adjoints form
         with monkeypatch.context() as m:
-            m.setattr(tensor, "_conv_windows",
-                      lambda v, *a: window_channels.append(v.shape[1]) or windows(v, *a))
+            m.setattr(tensor, "conv2d_weight_grad",
+                      lambda v, *a: dw_channels.append(v.shape[1]) or weight_grad(v, *a))
             grads = g.backward(loss)
-        return grads, sent, window_channels, image, [g.leaf(p) for p in gate]
+        return grads, sent, dw_channels, image, [g.leaf(p) for p in gate]
 
-    grads, sent, window_channels, image, gate_leaves = run()
+    grads, sent, dw_channels, image, gate_leaves = run()
     # the gate conv takes 2C = 8 channels: its weight gradient is never formed
-    assert window_channels == [4, 4, 3]
+    assert dw_channels == [4, 4, 3]
     assert all(parent.needs_grad for parent in sent)
     assert not any(parent is node for parent in sent for node in [image, *gate_leaves])
     # the same step with the gate trainable computes the very same other gradients

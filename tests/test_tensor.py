@@ -167,6 +167,27 @@ def test_sigmoid_strictly_inside_unit_interval_even_when_saturated():
     assert (s > 0).all() and (s < 1).all()
 
 
+def masked_sigmoid(x):
+    """The two-sided logistic by boolean-mask indexing, clipped to (0, 1)."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    info = np.finfo(out.dtype)
+    return np.clip(out, info.smallest_normal, 1.0 - info.epsneg)
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_formula():
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf])
+    draws = np.random.default_rng(9).standard_normal(1 << 22)
+    for x in (edges, draws):
+        x = x[None, None, None, :]
+        with np.errstate(over="ignore"):
+            want = masked_sigmoid(x)
+        npt.assert_array_equal(tensor.activation(x, "sigmoid").view(np.int64), want.view(np.int64))
+
+
 def test_activation_unknown_kind():
     with pytest.raises(ValueError):
         tensor.activation(np.zeros((1, 1, 1, 1)), "tanh")

@@ -262,6 +262,18 @@ def test_divergence_stops_the_epoch_before_the_update():
         npt.assert_array_equal(p.value, before[p.name])
 
 
+@pytest.mark.parametrize("attention", ["learned", "frozen"])
+def test_divergence_names_the_param_of_the_first_non_finite_op(attention):
+    cfg = preset("micro", seed=0, attention=attention)
+    store = init_network(cfg)
+    store["s0b0.attn.weight"].value[0, 0, 1, 1] = np.nan
+    tc = TrainConfig(batch_size=2)
+    with pytest.raises(DivergenceError, match=r"first at tape op 'conv2d' \(s0b0\.attn\.weight\)$"), \
+            np.errstate(invalid="ignore"):
+        train_epoch(store, OptimizerState(store, tc), micro_dataset(), cfg, tc, NORM, None,
+                    np.random.default_rng(0), epoch=0)
+
+
 # -- evaluation --------------------------------------------------------------------
 
 
