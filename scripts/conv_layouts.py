@@ -12,8 +12,9 @@ collect the shape of every conv it makes, then, for each distinct conv,
 times the forward, the weight gradient (dW) and the input gradient (dx)
 in the im2col layout and in the tap layout of ``llanet.tensor`` (best of R
 runs, one BLAS thread, random operands), and prints a markdown table with
-the layout each of the kernel's rules picks. A conv the tap layout cannot
-run (stride > 1 or a 1x1 kernel) shows "-" in its tap columns.
+the layout the kernel's rule picks for all three parts. A conv the tap
+layout cannot run (stride > 1 or a 1x1 kernel) shows "-" in its tap columns.
+The totals add each part of every conv in each layout and in the pick.
 """
 
 import os
@@ -97,30 +98,29 @@ def main(argv=None) -> int:
     size = args.size or network.preset(args.preset).input_shape[1]
     print(f"{args.preset} at {size} px, batch {args.batch}, best of {args.repeats}, ms\n")
     print("| conv | input | count | fwd im2col | fwd taps | dW im2col | dW taps "
-          "| dx im2col | dx taps | fwd pick | adjoint pick |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+          "| dx im2col | dx taps | pick |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     total = defaultdict(float)
     for (spec, shape), count in conv_shapes(args.preset, size, args.batch).items():
         ms = time_layouts(spec, shape, args.repeats)
         oh, ow = tensor.conv_output_hw(spec, shape[2], shape[3])
-        fwd = "taps" if tensor._forward_on_taps(spec, oh, ow) else "im2col"
-        adj = "taps" if tensor._adjoint_on_taps(spec, oh, ow) else "im2col"
-        for part, pick in (("fwd", fwd), ("dW", adj), ("dx", adj)):
+        pick = "taps" if tensor._on_taps(spec, oh, ow) else "im2col"
+        for part in ("fwd", "dW", "dx"):
             im2col = ms[(part, "im2col")]
             taps = im2col if ms[(part, "taps")] is None else ms[(part, "taps")]
             total[(part, "im2col")] += count * im2col
             total[(part, "taps")] += count * taps
-            total[(part, "rule")] += count * (taps if pick == "taps" else im2col)
+            total[(part, "pick")] += count * (taps if pick == "taps" else im2col)
         cells = " | ".join("-" if ms[key] is None else f"{ms[key]:.1f}"
                            for key in (("fwd", "im2col"), ("fwd", "taps"), ("dW", "im2col"),
                                        ("dW", "taps"), ("dx", "im2col"), ("dx", "taps")))
         name = (f"{spec.in_channels}->{spec.out_channels} {spec.kernel_h}x{spec.kernel_w}"
                 f" s{spec.stride} p{spec.padding}")
-        print(f"| {name} | {shape[2]}x{shape[3]} | {count} | {cells} | {fwd} | {adj} |")
+        print(f"| {name} | {shape[2]}x{shape[3]} | {count} | {cells} | {pick} |")
     print("\ntotals over every conv (ms; a conv taps cannot run counts at im2col):")
     for part in ("fwd", "dW", "dx"):
         print(f"  {part}: im2col {total[(part, 'im2col')]:.0f}, taps {total[(part, 'taps')]:.0f}, "
-              f"rule {total[(part, 'rule')]:.0f}")
+              f"pick {total[(part, 'pick')]:.0f}")
     return 0
 
 

@@ -162,12 +162,11 @@ def load_run_config(source, base_dir=None, env=None) -> RunConfig:
 
     seed = merged["seed"]
     if SEED_ENV_VAR in env:
-        try:
-            seed = int(env[SEED_ENV_VAR])
-        except ValueError:
-            raise ConfigError([f"/seed: {SEED_ENV_VAR} must be an integer, "
-                               f"got {env[SEED_ENV_VAR]!r}"]) from None
-        merged["seed"] = seed
+        text = env[SEED_ENV_VAR].strip()
+        if not text.isdecimal():  # a non-negative integer, as the schema asks of /seed
+            raise ConfigError([f"/seed: {SEED_ENV_VAR} must be a non-negative integer, "
+                               f"got {env[SEED_ENV_VAR]!r}"])
+        seed = merged["seed"] = int(text)
 
     net_sec = merged["network"]
     try:

@@ -410,6 +410,8 @@ def load_checkpoint(path, store: ParamStore, cfg: NetworkConfig, strict: bool = 
 
     ``strict`` additionally requires the stored config digest to match
     ``cfg``, guarding against loading weights into a different architecture.
+    Every store entry must be read exactly once and nothing may follow the
+    last one; ``store`` is only written once the whole file has passed.
     """
     def read(fh, n):
         buf = fh.read(n)
@@ -429,6 +431,7 @@ def load_checkpoint(path, store: ParamStore, cfg: NetworkConfig, strict: bool = 
         if count != len(store):
             raise CheckpointError(
                 f"{path}: checkpoint has {count} parameters, store has {len(store)}")
+        entries = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", read(fh, 2))
             name = read(fh, nlen).decode()
@@ -438,11 +441,17 @@ def load_checkpoint(path, store: ParamStore, cfg: NetworkConfig, strict: bool = 
                                  dtype="<f8").reshape(shape)
             if name not in store:
                 raise CheckpointError(f"{path}: unknown parameter {name!r}")
-            p = store[name]
-            if p.value.shape != shape:
-                raise CheckpointError(
-                    f"{path}: parameter {name!r} has shape {shape}, expected {p.value.shape}")
-            # fill in place so live RunningStats views stay attached
-            p.value[...] = data
-            p.trainable = bool(flags & 1)
-            p.decay_exempt = bool(flags & 2)
+            if name in entries:
+                raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
+            if store[name].value.shape != shape:
+                raise CheckpointError(f"{path}: parameter {name!r} has shape {shape}, "
+                                      f"expected {store[name].value.shape}")
+            entries[name] = flags, data
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last parameter")
+    for name, (flags, data) in entries.items():
+        p = store[name]
+        # fill in place so live RunningStats views stay attached
+        p.value[...] = data
+        p.trainable = bool(flags & 1)
+        p.decay_exempt = bool(flags & 2)

@@ -33,17 +33,12 @@ once the weight (kh*kw*o per input channel) is larger than the output map
 (oh*ow per channel), as on small maps with wide channels. And the tap dW
 reads dy once per tap, which costs more than copying the column matrix when
 that has fewer rows (kh*kw*c) than dy (o), as for a 3-channel stem with 64
-out channels. So the adjoint runs on taps for stride-1 convs with more than
-one tap whose map is at least that large and whose column matrix is no
-smaller than dy (``_adjoint_on_taps``), and the forward only for those over
-at least ``TAP_FORWARD_MIN_CHANNELS`` input channels
-(``_forward_on_taps``). That keeps the 3-channel stems, where taps lose, and
-every forward of a narrow network such as the ``tiny`` preset on im2col, so
-the eval outputs of its checkpoints keep the bits earlier versions wrote,
-though taps measured alone are also faster on its 8 to 32-channel convs. A
-conv on taps sums in a different order, so its values can differ from
-im2col in the last bits. ``scripts/conv_layouts.py`` times both layouts on
-every conv of a preset.
+out channels. So a conv runs on taps, forward and adjoint alike, when it is
+stride 1 with more than one tap, its map is at least that large and its
+column matrix is no smaller than dy (``_on_taps``); every other conv runs on
+im2col. A conv on taps sums in a different order, so its values can differ
+from im2col in the last bits. ``scripts/conv_layouts.py`` times both layouts
+on every conv of a preset.
 """
 
 from __future__ import annotations
@@ -57,9 +52,6 @@ DEFAULT_DTYPE = np.float64
 # Batch norm: variance floor and running-statistics momentum.
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-
-# Conv forwards over fewer input channels keep the im2col layout.
-TAP_FORWARD_MIN_CHANNELS = 64
 
 AXIS_NAMES = ("batch", "channels", "height", "width")
 
@@ -155,19 +147,13 @@ def _conv_windows(x, kh, kw, stride, padding):
     return windows
 
 
-def _adjoint_on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
-    """Whether the conv adjoint runs on taps: stride 1, more than one tap, a
-    weight (kh*kw*o per input channel) no larger than the output map, and a
-    column matrix (kh*kw*c rows) no smaller than dy (o rows)."""
+def _on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
+    """Whether the conv and its adjoint run on taps: stride 1, more than one
+    tap, a weight (kh*kw*o per input channel) no larger than the output map,
+    and a column matrix (kh*kw*c rows) no smaller than dy (o rows)."""
     taps = spec.kernel_h * spec.kernel_w
     return (spec.stride == 1 and taps > 1 and oh * ow >= taps * spec.out_channels
             and taps * spec.in_channels >= spec.out_channels)
-
-
-def _forward_on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
-    """Whether the conv forward runs on taps: as the adjoint, over at least
-    ``TAP_FORWARD_MIN_CHANNELS`` input channels."""
-    return _adjoint_on_taps(spec, oh, ow) and spec.in_channels >= TAP_FORWARD_MIN_CHANNELS
 
 
 def _tap_input(x, spec: ConvSpec) -> np.ndarray:
@@ -263,13 +249,13 @@ def _tap_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
 
 def conv2d_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
     """Gradient of conv2d's weight, given its input ``x`` and output cotangent ``dy``."""
-    on_taps = _adjoint_on_taps(spec, dy.shape[2], dy.shape[3])
+    on_taps = _on_taps(spec, dy.shape[2], dy.shape[3])
     return (_tap_weight_grad if on_taps else _im2col_weight_grad)(x, dy, spec)
 
 
 def conv2d_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
     """Gradient of conv2d's h x w input, given its weight and output cotangent ``dy``."""
-    on_taps = _adjoint_on_taps(spec, dy.shape[2], dy.shape[3])
+    on_taps = _on_taps(spec, dy.shape[2], dy.shape[3])
     return (_tap_input_grad if on_taps else _im2col_input_grad)(weight, dy, spec, h, w)
 
 
@@ -294,13 +280,8 @@ def conv2d(x, weight, bias, spec: ConvSpec) -> np.ndarray:
         raise DimensionError("spec declares no bias but one was given", axis="bias")
 
     oh, ow = conv_output_hw(spec, x.shape[2], x.shape[3])
-    if _forward_on_taps(spec, oh, ow):
-        out = _tap_forward(x, weight, spec, oh, ow)
-        return out + bias[None, :, None, None] if spec.has_bias else np.ascontiguousarray(out)
-    out = _im2col_forward(x, weight, spec, oh, ow)
-    if spec.has_bias:
-        out += bias[None, :, None, None]
-    return out
+    out = (_tap_forward if _on_taps(spec, oh, ow) else _im2col_forward)(x, weight, spec, oh, ow)
+    return out + bias[None, :, None, None] if spec.has_bias else np.ascontiguousarray(out)
 
 
 @dataclass

@@ -239,12 +239,12 @@ def test_conv_adjoint_against_finite_differences_strided():
 
 
 # (batch, in, out, kernel, padding, stride, bias, h, w): shapes on each side of
-# the conv layout rules in ``tensor``
+# the conv layout rule in ``tensor``
 CONV_CASES = [
-    (1, 64, 2, 3, 1, 1, True, 6, 7),    # taps forward and adjoint
-    (2, 64, 1, 5, 2, 1, False, 5, 8),   # taps forward and adjoint, batched
-    (2, 3, 2, 3, 0, 1, True, 9, 6),     # narrow: im2col forward, taps adjoint
-    (2, 6, 1, 5, 0, 1, False, 9, 11),   # narrow: im2col forward, taps adjoint
+    (1, 64, 2, 3, 1, 1, True, 6, 7),    # taps
+    (2, 64, 1, 5, 2, 1, False, 5, 8),   # taps, batched
+    (2, 3, 2, 3, 0, 1, True, 9, 6),     # narrow: taps
+    (2, 6, 1, 5, 0, 1, False, 9, 11),   # narrow: taps
     (2, 64, 2, 5, 1, 1, True, 8, 6),    # map small for the kernel: im2col
     (1, 4, 8, 3, 1, 1, False, 4, 5),    # map small for the out channels: im2col
     (1, 1, 12, 3, 1, 1, True, 12, 11),  # fewer column rows than out channels: im2col
@@ -265,14 +265,14 @@ def conv_case(case, seed):
 
 
 def layouts(spec, x):
+    """The layout the forward and both adjoint halves of this conv run in."""
     oh, ow = tensor.conv_output_hw(spec, *x.value.shape[2:])
-    return ("taps" if tensor._forward_on_taps(spec, oh, ow) else "im2col",
-            "taps" if tensor._adjoint_on_taps(spec, oh, ow) else "im2col")
+    return "taps" if tensor._on_taps(spec, oh, ow) else "im2col"
 
 
 def test_conv_cases_cover_every_layout_pair():
     picks = {layouts(*conv_case(case, 0)[:2]) for case in CONV_CASES}
-    assert picks == {("taps", "taps"), ("im2col", "taps"), ("im2col", "im2col")}
+    assert picks == {"taps", "im2col"}
 
 
 @pytest.mark.parametrize("case", CONV_CASES)
@@ -306,7 +306,7 @@ def test_conv_layouts_against_oracle_and_finite_differences(case):
 
 def test_tap_adjoint_skips_a_frozen_weight_and_a_constant_input(monkeypatch):
     spec, x, weight, bias = conv_case(CONV_CASES[0], 23)
-    assert layouts(spec, x) == ("taps", "taps")
+    assert layouts(spec, x) == "taps"
     calls = []
     for name in ("_tap_weight_grad", "_tap_input_grad"):
         kernel = getattr(tensor, name)

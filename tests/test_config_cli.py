@@ -63,9 +63,10 @@ def test_seed_env_override():
 
 
 def test_seed_env_must_be_integer():
-    with pytest.raises(ConfigError) as e:
-        load_run_config({}, env={"LLA_SEED": "lucky"})
-    assert any("LLA_SEED" in p for p in e.value.errors)
+    for value in ("lucky", "-1"):  # a negative seed fails as the schema's /seed would
+        with pytest.raises(ConfigError) as e:
+            load_run_config({}, env={"LLA_SEED": value})
+        assert any("LLA_SEED" in p for p in e.value.errors)
 
 
 def test_mean_std_must_match_channels():

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from llanet import tensor
 from llanet.autodiff import GradGraph, Param
 from llanet.network import (CheckpointError, NetworkConfig, StageSpec,
                             config_digest, count_parameters, feature_shape, init_network,
@@ -258,6 +259,31 @@ def test_checkpoint_rejects_truncation_and_garbage(tmp_path):
         load_checkpoint(tmp_path / "junk.ckpt", init_network(cfg), cfg)
 
 
+def test_checkpoint_rejects_a_repeated_entry_and_trailing_bytes(tmp_path):
+    cfg = preset("micro")
+    store = init_network(cfg)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, store, cfg)
+    data = path.read_bytes()
+    params = list(store)
+
+    def entry_bytes(p):  # name length, name, flags, ndim, dims, float64 data
+        return 2 + len(p.name.encode()) + 2 + 4 * p.value.ndim + 8 * p.value.size
+
+    header = len(data) - sum(entry_bytes(p) for p in params)
+    first = data[header:header + entry_bytes(params[0])]
+    # the last entry (head.bias) replaced by a second copy of the first: same count
+    (tmp_path / "twice.ckpt").write_bytes(data[:len(data) - entry_bytes(params[-1])] + first)
+    (tmp_path / "tail.ckpt").write_bytes(data + bytes(8))
+    for name, message in (("twice.ckpt", "stored twice"), ("tail.ckpt", "trailing bytes")):
+        fresh = init_network(preset("micro", seed=1))
+        before = {p.name: p.value.copy() for p in fresh}
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(tmp_path / name, fresh, cfg)
+        for p in fresh:  # a rejected file writes nothing into the store
+            npt.assert_array_equal(p.value, before[p.name])
+
+
 def test_checkpoint_reruns_identical_bytes(tmp_path):
     cfg = preset("micro", seed=2)
     store = init_network(cfg)
@@ -306,3 +332,34 @@ def test_end_to_end_gradient_check():
     _, report = network_gradcheck(seed=0, eps=1e-5)
     assert report.max_error < 1e-4
     assert report.checked > 100
+
+
+def preset_conv_picks(name, monkeypatch):
+    """(spec, input side, layout) of every conv in one eval forward of a preset
+    at its own input size; the convs themselves are skipped."""
+    cfg = preset(name)
+    picks = []
+
+    def spy(x, weight, bias, spec):
+        oh, ow = tensor.conv_output_hw(spec, *x.shape[2:])
+        picks.append((spec, x.shape[2], "taps" if tensor._on_taps(spec, oh, ow) else "im2col"))
+        return np.zeros((x.shape[0], spec.out_channels, oh, ow))
+
+    monkeypatch.setattr(tensor, "conv2d", spy)
+    network_forward(batch_for(cfg, n=1), init_network(cfg), cfg)
+    return picks
+
+
+def test_every_preset_conv_has_its_pinned_layout(monkeypatch):
+    tiny = preset_conv_picks("tiny", monkeypatch)  # 32 px
+    assert [pick for _, _, pick in tiny] == [
+        "taps" if spec.stride == 1 and spec.kernel_h == 3 else "im2col" for spec, _, _ in tiny]
+    # resnet18 at 112 px: stride-1 3x3 convs on taps in stages 0 and 1 (112
+    # and 56 px); the 3-channel stem, stages 2 and 3 (28 and 14 px), stride-2
+    # and 1x1 convs on im2col
+    resnet = preset_conv_picks("resnet18", monkeypatch)
+    assert [pick for _, _, pick in resnet] == [
+        "taps" if spec.stride == 1 and spec.kernel_h == 3 and spec.in_channels > 3 and side >= 56
+        else "im2col" for spec, side, _ in resnet]
+    for picks in (tiny, resnet):
+        assert {pick for _, _, pick in picks} == {"taps", "im2col"}
