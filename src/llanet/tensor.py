@@ -43,11 +43,51 @@ on every conv of a preset.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
+
+# Allocator policy, set once when llanet is imported. Every kernel returns a
+# fresh array, and glibc's default policy puts each one over 128 KiB on its own
+# mmap or trims the freed heap top, so the next op page-faults the same memory
+# back in. One BLAS thread, a ten-crop eval round of 210 tiny images took 317k
+# minor faults and 0.87 s of system time out of 3.5 s wall. Taking arrays up
+# to 32 MiB (the largest mmap threshold every 64-bit glibc accepts) from the
+# heap and keeping up to 1 GiB of free heap top cuts that to a handful of
+# faults a round, with the same peak RSS and the same output bits. A 16 MiB
+# mmap threshold left 26k faults a resnet18 train round, and a 128 MiB trim
+# threshold 35k. mallopt takes a C int, so a threshold of 4 GiB would wrap to 0.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+def _keep_freed_heap() -> bool:
+    """Set glibc's mmap and trim thresholds; return whether both took.
+
+    The mmap threshold goes first: setting either one turns off glibc's
+    dynamic threshold, and a trim threshold alone would leave every array
+    over 128 KiB on mmap. Where the C library is not glibc this does nothing.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) != 1:
+        return False
+    return mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1
+
+
+_keep_freed_heap()
 
 # Batch norm: variance floor and running-statistics momentum.
 BN_EPS = 1e-5

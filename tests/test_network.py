@@ -1,6 +1,8 @@
 """Backbone assembly: shapes, parameter counts, stream threading, checkpoints."""
 
 import hashlib
+import platform
+import resource
 
 import numpy as np
 import numpy.testing as npt
@@ -151,6 +153,25 @@ def test_eval_forward_is_pure():
     first = network_forward(x, store, cfg)
     npt.assert_array_equal(store["s0b0.bn1.running_mean"].value, before)
     npt.assert_array_equal(network_forward(x, store, cfg), first)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is set through glibc mallopt")
+def test_eval_forwards_take_their_memory_from_the_process_heap():
+    # One ten-crop image of the tiny preset. With freed memory handed back to
+    # the OS, each forward page-faults its outputs in again: 700 to 1,400
+    # minor faults a forward under glibc's default policy. Kept in the heap,
+    # ten warmed-up forwards take a handful.
+    cfg = preset("tiny", seed=0)
+    store = init_network(cfg)
+    x = np.random.default_rng(0).standard_normal((10, 3, 28, 28))
+    network_forward(x, store, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        network_forward(x, store, cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 300, f"{faults} minor page faults over ten warmed-up forwards"
+    assert tensor._keep_freed_heap()  # both mallopt calls take on glibc
 
 
 def test_train_forward_updates_running_stats():

@@ -1,14 +1,16 @@
 """Optimizer mechanics, epoch loops, and evaluation behaviour."""
 
+import gc
 import io
 import json
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import oracles
-from llanet import tensor
+from llanet import tensor, training
 from llanet.autodiff import Param
 from llanet.data import Image, SampleRecord
 from llanet.network import init_network, network_forward, preset
@@ -157,6 +159,37 @@ def test_decay_exemption_can_be_disabled():
     npt.assert_allclose(exempt.value, [9.0])
 
 
+def test_chunked_sgd_is_bit_identical_to_the_whole_array_formula():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (3, 2 * training.SGD_CHUNK // 3 + 5),    # rows split across chunks
+              "wide": (2, training.SGD_CHUNK + 3),          # one row larger than a chunk
+              "v": (2 * training.SGD_CHUNK + 7,),           # 1-d, larger than one chunk
+              "t": (4, 6),                                  # strided (transposed) value
+              "beta": (5,)}                                 # decay-exempt
+    start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    params = [Param(name, start[name].T if name == "t" else start[name],
+                    decay_exempt=name == "beta") for name in shapes]
+    store = store_with(*params)
+    tc = TrainConfig(momentum=0.9, weight_decay=5e-4)
+    state = OptimizerState(store, tc)
+    want = {p.name: p.value.copy() for p in params}
+    bufs = {p.name: np.zeros_like(p.value) for p in params}
+    for step in range(3):
+        grads = {p.name: rng.standard_normal(p.value.shape) for p in params}
+        lr = 0.1 / (step + 1)
+        sgd_step(store, grads, state, lr)
+        for p in params:
+            g = grads[p.name]
+            if not p.decay_exempt:
+                g = g + tc.weight_decay * want[p.name]
+            bufs[p.name] *= tc.momentum
+            bufs[p.name] += g
+            want[p.name] -= lr * bufs[p.name]
+    for p in params:
+        assert p.value.tobytes() == want[p.name].tobytes(), p.name
+        assert state.buffers[p.name].tobytes() == bufs[p.name].tobytes(), p.name
+
+
 def test_sgd_validates_gradients():
     p = Param("x", np.array([1.0, 2.0]))
     store = store_with(p)
@@ -208,6 +241,30 @@ def test_train_epoch_is_deterministic():
     assert s1 == s2
     for p in st1:
         npt.assert_array_equal(p.value, st2[p.name].value)
+
+
+def test_train_epoch_frees_each_tape_before_the_next_forward(monkeypatch):
+    # Weak references to each step's graph and to the logits on its tape.
+    refs, alive = [], []
+    loss_graph = training.network_loss_graph
+
+    def spy(graph, *args, **kwargs):
+        alive.append([graph() is not None or logits() is not None for graph, logits in refs])
+        trace, loss = loss_graph(graph, *args, **kwargs)
+        refs.append((weakref.ref(graph), weakref.ref(trace.logits.value)))
+        return trace, loss
+
+    monkeypatch.setattr(training, "network_loss_graph", spy)
+    cfg = preset("micro", seed=0)
+    store = init_network(cfg)
+    tc = TrainConfig(batch_size=1)
+    gc.disable()  # only reference counting may free a tape
+    try:
+        train_epoch(store, OptimizerState(store, tc), micro_dataset(), cfg, tc, NORM, None,
+                    np.random.default_rng(0), epoch=0)
+    finally:
+        gc.enable()
+    assert alive == [[False] * i for i in range(4)]
 
 
 def test_train_epoch_rejects_empty_dataset():
