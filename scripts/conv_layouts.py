@@ -12,8 +12,10 @@ collect the shape of every conv it makes, then, for each distinct conv,
 times the forward, the weight gradient (dW) and the input gradient (dx)
 in the im2col layout and in the tap layout of ``llanet.tensor`` (best of R
 runs, one BLAS thread, random operands), and prints a markdown table with
-the layout the kernel's rule picks for all three parts. A conv the tap
-layout cannot run (stride > 1 or a 1x1 kernel) shows "-" in its tap columns.
+the layout the kernel's rule picks for all three parts. The tap dx is the
+tap forward of the transposed conv, as ``tensor.conv2d_input_grad`` runs it.
+A conv the tap layout cannot run (stride > 1, a 1x1 or non-square kernel, or
+a padding not below the kernel) shows "-" in its tap columns.
 The totals add each part of every conv in each layout and in the pick.
 """
 
@@ -81,9 +83,10 @@ def time_layouts(spec, shape, repeats: int) -> dict:
                    lambda: tensor._im2col_input_grad(weight, dy, spec, h, w)),
         "taps": (lambda: np.ascontiguousarray(tensor._tap_forward(x, weight, spec, oh, ow)),
                  lambda: tensor._tap_weight_grad(x, dy, spec),
-                 lambda: tensor._tap_input_grad(weight, dy, spec, h, w)),
+                 lambda: tensor._tap_forward(dy, *tensor._transposed(weight, spec), h, w)),
     }
-    tap_ok = spec.stride == 1 and spec.kernel_h * spec.kernel_w > 1
+    k = spec.kernel_h
+    tap_ok = spec.stride == 1 and spec.kernel_w == k > 1 and spec.padding < k
     return {(part, layout): best_ms(fn, repeats) if layout == "im2col" or tap_ok else None
             for layout, fns in runs.items() for part, fn in zip(("fwd", "dW", "dx"), fns)}
 

@@ -27,7 +27,8 @@ conv's padded input, ReLU masks, max-pool winners, the normalized
 batch-norm input) are built inside its adjoint. The conv adjoint takes dW
 and dx from ``tensor.conv2d_weight_grad`` and ``tensor.conv2d_input_grad``:
 stride-1 convs on large enough maps run as kh*kw GEMMs on shifted taps of
-one padded buffer, every other conv through im2col, and a conv's forward
+one padded buffer (dx as the tap forward of the transposed conv), every
+other conv through im2col, and a conv's forward
 and adjoint always share a layout (the ``llanet.tensor`` docstring describes
 both layouts and the one rule that picks between them). No closure
 refers to the graph, so a tape holds no reference cycle and is freed by

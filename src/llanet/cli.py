@@ -52,17 +52,22 @@ def _parse_quotas(pairs) -> dict[int, int]:
 
 
 def cmd_rebalance(args) -> int:
+    quotas = _parse_quotas(args.quota)
+    for flag, value, low in (("--k-neutral", args.k_neutral, 1), ("--k-happy", args.k_happy, 1),
+                             *((f"--quota {LABEL_NAMES[c]}", q, 0) for c, q in quotas.items())):
+        if value < low:
+            raise ConfigError([f"{flag}: must be >= {low}, got {value}"])
     manifest = data_mod.read_manifest(args.manifest)
     k_by_class = {LABEL_NAMES.index("neutral"): args.k_neutral,
                   LABEL_NAMES.index("happiness"): args.k_happy}
     supplement = data_mod.read_manifest(args.supplement) if args.supplement else None
-    quotas = _parse_quotas(args.quota)
     merged, report = data_mod.rebalance(manifest, k_by_class, supplement, quotas)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_manifest(out / "manifest.csv", merged)
-    (out / "rebalance_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    with data_mod.atomic_open(out / "rebalance_report.json") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
     for name, row in report.items():
         print(f"{name:>10}: before {row['before']:>7}  removed {row['removed']:>7}  "
               f"added {row['added']:>6}  after {row['after']:>7}"
@@ -126,7 +131,7 @@ def cmd_eval(args) -> int:
     report = metrics_report(cm)
     with data_mod.atomic_open(out / "metrics.json") as fh:
         fh.write(json.dumps(report, indent=2) + "\n")
-    with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
+    with data_mod.atomic_open(out / "predictions.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sequence_id", "frame_index", "label", "predicted"])
         for p in predictions:
@@ -181,7 +186,7 @@ def cmd_dump_attention(args) -> int:
         data_mod.write_image(out / f"mask_m{args.module_index}_c{ch}.pgm",
                              data_mod.Image(scaled[ch][None]))
     raw_path = out / f"mask_m{args.module_index}.bin"
-    with open(raw_path, "wb") as fh:
+    with data_mod.atomic_open(raw_path, "wb") as fh:
         dims = np.asarray(mask.shape, dtype="<u4")
         fh.write(np.asarray([dims.size], dtype="<u4").tobytes())
         fh.write(dims.tobytes())

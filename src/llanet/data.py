@@ -135,7 +135,8 @@ def read_manifest(path) -> DatasetManifest:
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
-    Path(path).write_text(format_manifest(manifest), encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(format_manifest(manifest))
 
 
 @contextlib.contextmanager
@@ -346,7 +347,8 @@ def load_image(path) -> Image:
 
 
 def write_image(path, img: Image) -> None:
-    Path(path).write_bytes(format_image(img))
+    with atomic_open(path, "wb") as fh:
+        fh.write(format_image(img))
 
 
 def to_tensor(img: Image, mean, std) -> np.ndarray:

@@ -341,7 +341,7 @@ def network_forward_graph(graph: GradGraph, batch, store: ParamStore, cfg: Netwo
     The batch may have any spatial size (training crops and evaluation crops
     differ); only the channel count must match the config.
     """
-    x = batch if isinstance(batch, Node) else graph.constant(batch)
+    x = graph.constant(batch)
     if x.value.shape[1] != cfg.input_shape[0]:
         raise ValueError(
             f"batch has {x.value.shape[1]} channels, config expects {cfg.input_shape[0]}")
@@ -405,13 +405,13 @@ class CheckpointError(ValueError):
     pass
 
 
-def load_checkpoint(path, store: ParamStore, cfg: NetworkConfig, strict: bool = True) -> None:
+def load_checkpoint(path, store: ParamStore, cfg: NetworkConfig) -> None:
     """Fill ``store`` in place from a checkpoint written by :func:`save_checkpoint`.
 
-    ``strict`` additionally requires the stored config digest to match
-    ``cfg``, guarding against loading weights into a different architecture.
-    Every store entry must be read exactly once and nothing may follow the
-    last one; ``store`` is only written once the whole file has passed.
+    The stored config digest must match ``cfg``, guarding against loading
+    weights into a different architecture. Every store entry must be read
+    exactly once and nothing may follow the last one; ``store`` is only
+    written once the whole file has passed.
     """
     def read(fh, n):
         buf = fh.read(n)
@@ -424,7 +424,7 @@ def load_checkpoint(path, store: ParamStore, cfg: NetworkConfig, strict: bool = 
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
         (dlen,) = struct.unpack("<B", read(fh, 1))
         digest = read(fh, dlen)
-        if strict and digest != config_digest(cfg):
+        if digest != config_digest(cfg):
             raise CheckpointError(
                 f"{path}: checkpoint was written for a different network configuration")
         (count,) = struct.unpack("<I", read(fh, 4))

@@ -23,9 +23,11 @@ A conv runs in one of two layouts, picked from its shapes alone:
   i*wp + j of length oh*wp, which BLAS takes with no copy, so the conv is
   kh*kw GEMMs with K = c and no column matrix. Each output row carries
   wp - ow garbage columns, dropped at the end; the spare row keeps the last
-  tap's slice in bounds. The adjoint zero-pads dy to width wp, so the
-  garbage columns add nothing: dW[:, :, i, j] is one GEMM dy_pad @ tap^T,
-  and dx adds W_ij^T @ dy_pad into the shifted slice of a flat dx buffer.
+  tap's slice in bounds. The layout has a forward and a weight gradient:
+  the latter zero-pads dy to width wp, so the garbage columns add nothing,
+  and dW[:, :, i, j] is one GEMM dy_pad @ tap^T. The input gradient is the
+  tap forward of the transposed conv: dy correlated with the flipped
+  kernel, in and out channels swapped, at padding k - 1 - p.
 
 Taps pay a copy of the weight permuted to (kh, kw, o, c) per call and run
 GEMMs with K = c rather than c*kh*kw; both outweigh the saved column matrix
@@ -34,11 +36,12 @@ once the weight (kh*kw*o per input channel) is larger than the output map
 reads dy once per tap, which costs more than copying the column matrix when
 that has fewer rows (kh*kw*c) than dy (o), as for a 3-channel stem with 64
 out channels. So a conv runs on taps, forward and adjoint alike, when it is
-stride 1 with more than one tap, its map is at least that large and its
-column matrix is no smaller than dy (``_on_taps``); every other conv runs on
-im2col. A conv on taps sums in a different order, so its values can differ
-from im2col in the last bits. ``scripts/conv_layouts.py`` times both layouts
-on every conv of a preset.
+stride 1 with a square kernel of more than one tap and a padding below the
+kernel (so the transposed conv has a padding too), its map is at least that
+large and its column matrix is no smaller than dy (``_on_taps``); every
+other conv runs on im2col. A conv on taps sums in a different order, so its
+values can differ from im2col in the last bits. ``scripts/conv_layouts.py``
+times both layouts on every conv of a preset.
 """
 
 from __future__ import annotations
@@ -188,12 +191,13 @@ def _conv_windows(x, kh, kw, stride, padding):
 
 
 def _on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
-    """Whether the conv and its adjoint run on taps: stride 1, more than one
-    tap, a weight (kh*kw*o per input channel) no larger than the output map,
-    and a column matrix (kh*kw*c rows) no smaller than dy (o rows)."""
-    taps = spec.kernel_h * spec.kernel_w
-    return (spec.stride == 1 and taps > 1 and oh * ow >= taps * spec.out_channels
-            and taps * spec.in_channels >= spec.out_channels)
+    """Whether the conv and its adjoint run on taps: stride 1, a square kernel
+    of more than one tap with padding below it, a weight (kh*kw*o per input
+    channel) no larger than the output map, and a column matrix (kh*kw*c
+    rows) no smaller than dy (o rows)."""
+    k = spec.kernel_h
+    return (spec.stride == 1 and spec.kernel_w == k > 1 and spec.padding < k
+            and oh * ow >= k * k * spec.out_channels and k * k * spec.in_channels >= spec.out_channels)
 
 
 def _tap_input(x, spec: ConvSpec) -> np.ndarray:
@@ -205,24 +209,9 @@ def _tap_input(x, spec: ConvSpec) -> np.ndarray:
     return buf.reshape(n, c, -1)
 
 
-def _tap_cotangent(dy, wp: int) -> np.ndarray:
-    """``dy`` (n, o, oh, ow) zero-padded to width ``wp`` and viewed as (n, o, oh * wp)."""
-    n, o, oh, ow = dy.shape
-    buf = np.zeros((n, o, oh, wp), dtype=dy.dtype)
-    buf[..., :ow] = dy
-    return buf.reshape(n, o, oh * wp)
-
-
 def _tap_offsets(spec: ConvSpec, wp: int) -> list[int]:
     """Offset of each kernel tap (i, j), row-major, in a flat map of row width ``wp``."""
     return [i * wp + j for i in range(spec.kernel_h) for j in range(spec.kernel_w)]
-
-
-def _tap_weights(weight) -> np.ndarray:
-    """``weight`` permuted to a contiguous (kh*kw, o, c), taps in row-major order:
-    numpy would copy a strided ``weight[:, :, i, j]`` on every GEMM it is passed to."""
-    o, c, kh, kw = weight.shape
-    return weight.transpose(2, 3, 0, 1).reshape(kh * kw, o, c)
 
 
 def _im2col_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
@@ -237,7 +226,10 @@ def _tap_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     wp = x.shape[3] + 2 * spec.padding
     span = oh * wp
     flat = _tap_input(x, spec)
-    (w0, off0), *rest = zip(_tap_weights(weight), _tap_offsets(spec, wp))
+    # the weight as a contiguous (kh*kw, o, c), taps in row-major order: numpy
+    # would copy a strided weight[:, :, i, j] on every GEMM it is passed to
+    taps = weight.transpose(2, 3, 0, 1).reshape(-1, *weight.shape[:2])
+    (w0, off0), *rest = zip(taps, _tap_offsets(spec, wp))
     out = np.matmul(w0, flat[:, :, off0:off0 + span])
     part = np.empty_like(out)
     for w_t, off in rest:
@@ -251,11 +243,13 @@ def _im2col_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
 
 
 def _tap_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
+    n, o, oh, ow = dy.shape
     wp = x.shape[3] + 2 * spec.padding
-    span = dy.shape[2] * wp
     flat = _tap_input(x, spec)
-    dyf = _tap_cotangent(dy, wp)
-    dw = np.stack([np.matmul(dyf, flat[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
+    # dy zero-padded to width wp, so the garbage columns of each tap add nothing
+    dyf = np.zeros((n, o, oh * wp), dtype=dy.dtype)
+    dyf.reshape(n, o, oh, wp)[..., :ow] = dy
+    dw = np.stack([np.matmul(dyf, flat[:, :, off:off + oh * wp].transpose(0, 2, 1)).sum(axis=0)
                    for off in _tap_offsets(spec, wp)], axis=-1)
     return dw.reshape(spec.weight_shape)
 
@@ -273,18 +267,13 @@ def _im2col_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray
     return dxp[:, :, p:p + h, p:p + w] if p else dxp
 
 
-def _tap_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
-    n, _, oh, _ = dy.shape
-    p = spec.padding
-    wp = w + 2 * p
-    span = oh * wp
-    dyf = _tap_cotangent(dy, wp)
-    dxf = np.zeros((n, spec.in_channels, (h + 2 * p + 1) * wp), dtype=np.result_type(weight, dy))
-    part = None
-    for w_t, off in zip(_tap_weights(weight), _tap_offsets(spec, wp)):
-        part = np.matmul(w_t.T, dyf, out=part)
-        dxf[:, :, off:off + span] += part
-    return dxf.reshape(n, spec.in_channels, h + 2 * p + 1, wp)[:, :, p:p + h, p:p + w]
+def _transposed(weight, spec: ConvSpec):
+    """The weight and spec of the stride-1 conv whose forward is ``spec``'s
+    input gradient: the kernel flipped, in and out channels swapped, padding
+    k - 1 - p."""
+    return (weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+            ConvSpec(spec.in_channels, spec.out_channels, spec.kernel_h, spec.kernel_w,
+                     padding=spec.kernel_h - 1 - spec.padding, has_bias=False))
 
 
 def conv2d_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
@@ -295,8 +284,9 @@ def conv2d_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
 
 def conv2d_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
     """Gradient of conv2d's h x w input, given its weight and output cotangent ``dy``."""
-    on_taps = _on_taps(spec, dy.shape[2], dy.shape[3])
-    return (_tap_input_grad if on_taps else _im2col_input_grad)(weight, dy, spec, h, w)
+    if _on_taps(spec, dy.shape[2], dy.shape[3]):
+        return _tap_forward(dy, *_transposed(weight, spec), h, w)
+    return _im2col_input_grad(weight, dy, spec, h, w)
 
 
 def conv2d(x, weight, bias, spec: ConvSpec) -> np.ndarray:

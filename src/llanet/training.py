@@ -120,6 +120,15 @@ def sgd_step(store: ParamStore, grads: dict, state: OptimizerState, lr: float) -
     state.step_count += 1
 
 
+def _all_finite(g) -> bool:
+    """Whether every entry of ``g`` is finite, scanned in ``SGD_CHUNK`` slices
+    through one small bool buffer, so no temporary as large as ``g`` is made."""
+    flat = np.ravel(g)
+    buf = np.empty(SGD_CHUNK, dtype=bool)
+    parts = (flat[start:start + SGD_CHUNK] for start in range(0, flat.size, SGD_CHUNK))
+    return all(np.isfinite(part, out=buf[:part.size]).all() for part in parts)
+
+
 # -- in-memory dataset -----------------------------------------------------------
 
 
@@ -196,7 +205,7 @@ def train_epoch(store: ParamStore, state: OptimizerState, dataset: LoadedDataset
         graph = GradGraph()
         trace, loss = network_loss_graph(graph, x, labels, store, net_cfg, train=True)
         grads = graph.backward(loss)
-        bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+        bad = [name for name, g in grads.items() if not _all_finite(g)]
         if bad or not np.isfinite(loss.value):
             first = graph.first_non_finite()
             if first is None:

@@ -251,6 +251,7 @@ CONV_CASES = [
     (2, 3, 2, 3, 1, 2, True, 13, 10),   # stride 2, on a map taps would take: im2col
     (3, 4, 3, 1, 0, 1, True, 5, 6),     # 1x1: im2col
     (1, 64, 4, 1, 2, 2, False, 6, 5),   # 1x1, stride 2: im2col
+    (1, 64, 2, 3, 3, 1, True, 6, 7),    # padding not below the kernel: im2col
 ]
 
 
@@ -292,14 +293,15 @@ def test_conv_layouts_against_oracle_and_finite_differences(case):
     report = grad_check(make_loss, params, max_entries=12, rng=np.random.default_rng(22))
     assert report.checked == sum(min(12, p.value.size) for p in params)
     assert report.max_error < 1e-6
-    if spec.stride == 1 and spec.kernel_h > 1:  # both layouts can run: they agree
+    if spec.stride == 1 and spec.kernel_h > 1 and spec.padding < spec.kernel_h:
+        # both layouts can run: they agree, dx on taps as the transposed conv
         xv, wv, dy = x.value, weight.value, probe
         (oh, ow), (h, w) = out.shape[2:], xv.shape[2:]
         for taps, im2col in [(tensor._tap_forward(xv, wv, spec, oh, ow),
                               tensor._im2col_forward(xv, wv, spec, oh, ow)),
                              (tensor._tap_weight_grad(xv, dy, spec),
                               tensor._im2col_weight_grad(xv, dy, spec)),
-                             (tensor._tap_input_grad(wv, dy, spec, h, w),
+                             (tensor._tap_forward(dy, *tensor._transposed(wv, spec), h, w),
                               tensor._im2col_input_grad(wv, dy, spec, h, w))]:
             npt.assert_allclose(taps, im2col, rtol=1e-12, atol=1e-12)
 
@@ -307,24 +309,28 @@ def test_conv_layouts_against_oracle_and_finite_differences(case):
 def test_tap_adjoint_skips_a_frozen_weight_and_a_constant_input(monkeypatch):
     spec, x, weight, bias = conv_case(CONV_CASES[0], 23)
     assert layouts(spec, x) == "taps"
+    # each tap kernel call with the spec it ran for: the forward and the input
+    # gradient both run _tap_forward, the latter on the transposed conv
+    transposed = tensor._transposed(weight.value, spec)[1]
     calls = []
-    for name in ("_tap_weight_grad", "_tap_input_grad"):
+    for name in ("_tap_forward", "_tap_weight_grad"):
         kernel = getattr(tensor, name)
-        monkeypatch.setattr(tensor, name,
-                            lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
+        monkeypatch.setattr(tensor, name, lambda *a, name=name, kernel=kernel:
+                            calls.append((name, a[2])) or kernel(*a))
     weight.trainable = False
 
     def grads(image):
+        calls.clear()
         g = GradGraph()
         x_node = g.constant(x.value) if image else g.leaf(x)
         conv = g.conv2d(x_node, g.leaf(weight), g.leaf(bias), spec)
         return g.backward(g.weighted_sum(conv, np.ones(conv.shape)))
 
-    assert set(grads(image=True)) == {"b"} and calls == []
-    assert set(grads(image=False)) == {"b", "x"} and calls == ["_tap_input_grad"]
+    forward = ("_tap_forward", spec)
+    assert set(grads(image=True)) == {"b"} and calls == [forward]
+    assert set(grads(image=False)) == {"b", "x"} and calls == [forward, ("_tap_forward", transposed)]
     weight.trainable = True
-    calls.clear()
-    assert set(grads(image=True)) == {"b", "w"} and calls == ["_tap_weight_grad"]
+    assert set(grads(image=True)) == {"b", "w"} and calls == [forward, ("_tap_weight_grad", spec)]
 
 
 def test_maxpool_overlapping_adjoint():
@@ -464,9 +470,10 @@ def test_frozen_gate_backward_skips_unneeded_gradients(monkeypatch):
 
     def run():
         g = GradGraph()
-        image = g.constant(x)
-        _, loss = network.network_loss_graph(g, image, [0, 1], store, cfg, train=True,
+        _, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
                                              update_running=False)
+        image = g._tape[0].inputs[0]  # the input of the stem conv, the first op taped
+        npt.assert_array_equal(image.value, x)
         sent = log_sends(g)
         dw_channels = []  # input channels of each conv weight gradient the adjoints form
         with monkeypatch.context() as m:

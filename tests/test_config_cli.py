@@ -1,5 +1,6 @@
 """Run-config validation and the command-line surface (exit codes, artifacts)."""
 
+import csv
 import hashlib
 import json
 
@@ -184,6 +185,36 @@ def test_rebalance_cli_rejects_unknown_quota_class(tmp_path):
     assert rc == 2
 
 
+def rebalance_rejects(tmp_path, capsys, flag, *argv):
+    """Run rebalance with a bad flag value: exit 2 naming the flag, and the
+    output directory is never made."""
+    src = tmp_path / "m.csv"
+    write_manifest_text(src, ["s,0,img.ppm,0,primary\n"])
+    out = tmp_path / "o"
+    assert run_cli("rebalance", "--manifest", src, *argv, "--out", out) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rebalance_cli_rejects_k_neutral_below_one(tmp_path, capsys):
+    rebalance_rejects(tmp_path, capsys, "--k-neutral", "--k-neutral", "0")
+
+
+def test_rebalance_cli_rejects_k_happy_below_one(tmp_path, capsys):
+    rebalance_rejects(tmp_path, capsys, "--k-happy", "--k-happy", "-1")
+
+
+def test_rebalance_cli_rejects_negative_quota(tmp_path, capsys):
+    rebalance_rejects(tmp_path, capsys, "--quota", "--quota", "anger=-5")
+
+
+def test_rebalance_cli_rejects_negative_quota_with_supplement(tmp_path, capsys):
+    supp = tmp_path / "ext.csv"
+    write_manifest_text(supp, ["x,0,e.ppm,0,external_a\n"])
+    rebalance_rejects(tmp_path, capsys, "--quota",
+                      "--supplement", supp, "--quota", "fear=3", "--quota", "anger=-5")
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as e:
         run_cli("transmogrify")
@@ -285,6 +316,32 @@ def test_eval_cli_from_echoed_config(cli_root, trained_run, tmp_path):
     assert rows[0] == "sequence_id,frame_index,label,predicted"
     assert len(rows) == 1 + 14  # 7 classes x 2 images
     assert all(0 <= int(r.rsplit(",", 1)[1]) < 7 for r in rows[1:])
+
+
+def test_eval_cli_failing_midway_keeps_the_earlier_predictions(trained_run, tmp_path, monkeypatch):
+    argv = ("eval", "--config", trained_run / "config.json",
+            "--checkpoint", trained_run / "best.ckpt", "--out", tmp_path)
+    assert run_cli(*argv) == 0
+    earlier = (tmp_path / "predictions.csv").read_bytes()
+    writer = csv.writer
+
+    def failing_writer(fh, **kwargs):
+        rows = writer(fh, **kwargs)
+
+        class Failing:
+            written = 0
+
+            def writerow(self, row):
+                if self.written == 3:
+                    raise OSError("disk full")
+                self.written += 1
+                return rows.writerow(row)
+        return Failing()
+
+    monkeypatch.setattr(csv, "writer", failing_writer)
+    assert run_cli(*argv) == 1
+    assert (tmp_path / "predictions.csv").read_bytes() == earlier
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["metrics.json", "predictions.csv"]
 
 
 def test_eval_cli_tencrop(cli_root, trained_run, tmp_path):

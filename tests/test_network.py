@@ -10,7 +10,7 @@ import pytest
 
 from llanet import tensor
 from llanet.autodiff import GradGraph, Param
-from llanet.network import (CheckpointError, NetworkConfig, StageSpec,
+from llanet.network import (CheckpointError, NetworkConfig, ParamStore, StageSpec,
                             config_digest, count_parameters, feature_shape, init_network,
                             load_checkpoint, module_plan, network_forward,
                             network_forward_graph, preset, save_checkpoint)
@@ -259,11 +259,28 @@ def test_checkpoint_rejects_other_architectures(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, store, cfg)
     other = preset("tiny", attention="off")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="different network configuration"):
         load_checkpoint(path, init_network(other), other)
-    # non-strict skips the digest but still checks the parameter inventory
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path, init_network(other), other, strict=False)
+
+
+def test_checkpoint_checks_the_inventory_under_a_matching_digest(tmp_path):
+    # each file carries cfg's digest but a store that differs from cfg's in its last entry
+    cfg = preset("micro")
+    params = list(init_network(cfg))
+    last = params[-1]
+    crafted = {
+        "checkpoint has .* parameters, store has": params[:-1],
+        "unknown parameter 'head.extra'": params[:-1] + [Param("head.extra", last.value)],
+        f"parameter '{last.name}' has shape":
+            params[:-1] + [Param(last.name, np.append(last.value, 0.0))],
+    }
+    for message, entries in crafted.items():
+        store = ParamStore()
+        for param in entries:
+            store.add(param)
+        save_checkpoint(tmp_path / "crafted.ckpt", store, cfg)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(tmp_path / "crafted.ckpt", init_network(cfg), cfg)
 
 
 def test_checkpoint_rejects_truncation_and_garbage(tmp_path):

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -329,6 +330,41 @@ def test_divergence_names_the_param_of_the_first_non_finite_op(attention):
             np.errstate(invalid="ignore"):
         train_epoch(store, OptimizerState(store, tc), micro_dataset(), cfg, tc, NORM, None,
                     np.random.default_rng(0), epoch=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
+def test_finite_check_scans_a_large_gradient_without_a_gradient_sized_temporary(value):
+    g = np.zeros(8 * training.SGD_CHUNK + 5)
+    g[-1] = value
+    tracemalloc.start()
+    try:
+        finite = training._all_finite(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert finite == np.isfinite(value)
+    assert peak < g.size // 4  # a bool array the size of g would take g.size bytes
+
+
+def test_divergence_names_the_first_non_finite_gradient(monkeypatch):
+    cfg = preset("micro", seed=0)
+    store = init_network(cfg)
+    backward = training.GradGraph.backward
+
+    def planted(graph, root):
+        grads = backward(graph, root)
+        names = list(grads)
+        grads[names[1]][...] = -np.inf
+        grads[names[3]][...] = np.nan
+        planted.first = names[1]
+        return grads
+
+    monkeypatch.setattr(training.GradGraph, "backward", planted)
+    tc = TrainConfig(batch_size=2)
+    with pytest.raises(DivergenceError) as e:
+        train_epoch(store, OptimizerState(store, tc), micro_dataset(), cfg, tc, NORM, None,
+                    np.random.default_rng(0), epoch=0)
+    assert str(e.value).endswith(f"first at the gradient of {planted.first!r}")
 
 
 # -- evaluation --------------------------------------------------------------------
