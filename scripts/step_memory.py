@@ -1,0 +1,94 @@
+"""Memory of one train step of a network preset: what its tape keeps, and the peak RSS.
+
+Usage: python3 scripts/step_memory.py PRESET [--size PX] [--batch N]
+
+Examples:
+
+    python3 scripts/step_memory.py tiny --size 32 --batch 35
+    python3 scripts/step_memory.py resnet18 --size 112 --batch 16
+    (ulimit -v 7000000; python3 scripts/step_memory.py resnet18 --size 112 --batch 32)
+
+Builds PRESET at PX x PX with random weights and a random batch of N images,
+then runs one train step (forward with a tape, backward and ``sgd_step``),
+one BLAS thread, and reads the process's peak RSS from
+``resource.getrusage`` after it; the peak covers the whole process, weights
+and batch included. Then it runs the step's forward once more under
+``tracemalloc`` and prints the traced bytes the forward leaves alive when
+``backward`` would start: the tape, the forward trace and the loss.
+
+A step that does not fit ends with a ``MemoryError`` message and exit 1.
+Cap the address space of the shell it runs in (``ulimit -v`` KiB) to get
+that and not an out-of-memory kill.
+"""
+
+import os
+
+# One BLAS thread, as in the benchmark, set before NumPy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import resource  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from llanet import autodiff, network, training  # noqa: E402
+
+MIB = 1024.0 * 1024.0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("preset", choices=network.PRESET_NAMES)
+    ap.add_argument("--size", type=int, default=32, help="image side in px (default 32)")
+    ap.add_argument("--batch", type=int, default=10, help="images per step (default 10)")
+    args = ap.parse_args(argv)
+    if args.size < 1 or args.batch < 1:
+        ap.error("--size and --batch must be >= 1")
+
+    cfg = dataclasses.replace(network.preset(args.preset), input_shape=(3, args.size, args.size))
+    store = network.init_network(cfg)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((args.batch, 3, args.size, args.size))
+    labels = rng.integers(0, cfg.num_classes, args.batch)
+    train_cfg = training.TrainConfig(batch_size=args.batch)
+    state = training.OptimizerState(store, train_cfg)
+
+    def forward():
+        graph = autodiff.GradGraph()
+        return graph, network.network_loss_graph(graph, x, labels, store, cfg, train=True)
+
+    print(f"{args.preset} at {args.size} px, batch {args.batch}, one train step:")
+    try:
+        t0 = time.perf_counter()
+        graph, (trace, loss) = forward()
+        t1 = time.perf_counter()
+        training.sgd_step(store, graph.backward(loss), state, train_cfg.base_lr)
+        t2 = time.perf_counter()
+        del graph, trace, loss
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+        tracemalloc.start()
+        try:
+            taped = forward()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del taped
+    except MemoryError as e:
+        print(f"does not fit: MemoryError {e}".rstrip(), file=sys.stderr)
+        return 1
+    print("| forward s | backward + sgd s | forward leaves alive MiB | peak RSS MiB |")
+    print("|---|---|---|---|")
+    print(f"| {t1 - t0:.2f} | {t2 - t1:.2f} | {kept / MIB:.0f} | {peak / MIB:.0f} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

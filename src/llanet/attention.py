@@ -97,9 +97,12 @@ def attention_forward(f_pre: np.ndarray, f_cur: np.ndarray,
 
 def attention_forward_graph(graph: GradGraph, f_pre: Node, f_cur: Node,
                             params: AttentionParams) -> tuple[Node, Node]:
-    """The gate on a tape: concat, mask conv, sigmoid, multiply."""
+    """The gate on a tape: mask conv of the concat, sigmoid, multiply.
+
+    The concat is formed inside ``concat_conv2d``, so the tape never keeps it.
+    """
     _check_pair(f_pre.value, f_cur.value, params)
-    f_cat = graph.concat_channels(f_pre, f_cur)
-    pre_mask = graph.conv2d(f_cat, graph.leaf(params.weight), graph.leaf(params.bias), params.spec)
+    pre_mask = graph.concat_conv2d(f_pre, f_cur, graph.leaf(params.weight),
+                                   graph.leaf(params.bias), params.spec)
     mask = graph.sigmoid(pre_mask)
     return graph.hadamard(f_cur, mask), mask

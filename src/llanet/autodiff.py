@@ -1,30 +1,40 @@
 """Reverse-mode differentiation over the NCHW kernels.
 
 A ``GradGraph`` is a tape: every op whose output needs a gradient appends a
-``Node`` holding the forward value and a closure that scatters the node's
-cotangent to its parents. ``needs_grad`` says which nodes those are: a leaf
-needs a gradient when its ``Param`` is trainable and its graph records, a
-constant never does, and an op's output does when any of its inputs does.
-Any other op output keeps no closure and stays off the tape, so its value
-dies by reference counting once nothing reads it; leaves and constants stay
-off the tape too. ``GradGraph(record=False)`` runs the same ops for
-inference: no node needs a gradient, the tape stays empty and ``backward``
-raises.
+``Handle`` that holds the op's adjoint, a closure that scatters the output's
+cotangent to its inputs' handles. A leaf needs a gradient when its ``Param``
+is trainable and its graph records, a constant never does, and an op's
+output does when any of its inputs does; a ``Node`` that needs one carries a
+handle. Any other op output keeps no closure and stays off the tape, and so
+do leaves and constants.
+``GradGraph(record=False)`` runs the same ops for inference: no node needs a
+gradient, the tape stays empty and ``backward`` raises.
+
+The tape keeps exactly what its adjoints read. A handle holds no value and
+never refers to its node, and each closure captures the arrays it reads and
+its inputs' handles, never a ``Node``. So an op output that no adjoint reads
+dies by reference counting with its last forward use: a batch-norm output
+that only feeds an add or a ReLU, a residual sum, the gate's pre-sigmoid
+conv output. ReLU masks on its own output, which is positive exactly where
+its input is, and the gate conv (``concat_conv2d``) forms the ``F_pre``‖
+``F_cur`` concat again inside its adjoint instead of keeping it. Since the
+tape keeps no op outputs, ``first_non_finite`` rebuilds a failed step's
+forward to find the first one that is not finite.
 
 ``backward`` walks the tape in reverse creation order, which is a valid
-topological order. It keeps the pending cotangents itself, accumulating
-them across fan-out, frees each one as soon as its node's adjoint has run,
-and returns a plain dict from trainable-leaf name to gradient. It keeps a
-cotangent only for an input that needs a gradient, and the conv adjoint
-does not even compute the others (the weight gradient of a frozen gate, the
-input gradient of the image batch). Leaves the loss never touched get zero
-gradients rather than being dropped, so optimizer code can iterate
-parameters unconditionally.
+topological order. It keeps the pending cotangents itself, keyed on
+handles, accumulating them across fan-out, frees each one as soon as its
+node's adjoint has run, and returns a plain dict from trainable-leaf name to
+gradient. It keeps a cotangent only for an input that needs a gradient, and
+the conv adjoint does not even compute the others (the weight gradient of a
+frozen gate, the input gradient of the image batch). Leaves the loss never
+touched get zero gradients rather than being dropped, so optimizer code can
+iterate parameters unconditionally.
 
 Forward values come from the ``llanet.tensor`` kernels; an op keeps only
 what the kernel returns, and arrays that only the backward pass needs (the
-conv's padded input, ReLU masks, max-pool winners, the normalized
-batch-norm input) are built inside its adjoint. The conv adjoint takes dW
+conv's padded input, max-pool winners, the normalized batch-norm input) are
+built inside its adjoint. The conv adjoint takes dW
 and dx from ``tensor.conv2d_weight_grad`` and ``tensor.conv2d_input_grad``:
 stride-1 convs on large enough maps run as kh*kw GEMMs on shifted taps of
 one padded buffer (dx as the tap forward of the transposed conv), every
@@ -71,17 +81,32 @@ class Param:
         return f"Param({self.name!r}, shape={self.value.shape}{flags})"
 
 
-class Node:
-    """A graph value; on the tape it also holds its local backward rule and its inputs."""
+class Handle:
+    """Stands for one node that needs a gradient; ``backward`` keys the node's
+    cotangent on it.
 
-    __slots__ = ("value", "_backprop", "label", "needs_grad", "inputs")
+    A handle holds no value and never refers to its node. A taped op's handle
+    carries the op's label and its adjoint ``_backprop(dy, send)``, which
+    closes over the arrays it reads and its inputs' handles; a leaf's handle
+    carries neither.
+    """
 
-    def __init__(self, value, backprop=None, label="", needs_grad=False, inputs=()):
-        self.value = value
+    __slots__ = ("_backprop", "label")
+
+    def __init__(self, backprop=None, label=""):
         self._backprop = backprop
         self.label = label
-        self.needs_grad = needs_grad
-        self.inputs = inputs
+
+
+class Node:
+    """A graph value; ``handle`` is its ``Handle`` when it needs a gradient, else None."""
+
+    __slots__ = ("value", "label", "handle")
+
+    def __init__(self, value, label="", handle=None):
+        self.value = value
+        self.label = label
+        self.handle = handle
 
     @property
     def shape(self):
@@ -99,7 +124,7 @@ class GradGraph:
 
     def __init__(self, record: bool = True):
         self.record = record
-        self._tape: list[Node] = []
+        self._tape: list[Handle] = []
         self._leaves: dict[str, tuple[Param, Node]] = {}
 
     # -- graph construction -------------------------------------------------
@@ -107,11 +132,11 @@ class GradGraph:
     def _record(self, value, backprop, label, *inputs) -> Node:
         """Tape ``backprop`` only when some input (None for a missing bias) needs a gradient."""
         for x in inputs:  # a plain loop: any() over a generator costs twice the op's overhead
-            if x is not None and x.needs_grad:
-                node = Node(value, backprop, label, True, inputs)
-                self._tape.append(node)
-                return node
-        return Node(value, label=label)
+            if x is not None and x.handle is not None:
+                handle = Handle(backprop, label)
+                self._tape.append(handle)
+                return Node(value, label, handle)
+        return Node(value, label)
 
     def leaf(self, param: Param) -> Node:
         """Enter ``param`` into the graph; repeated calls return the same node."""
@@ -120,7 +145,7 @@ class GradGraph:
             if hit[0] is not param:
                 raise ValueError(f"two different params share the name {param.name!r}")
             return hit[1]
-        node = Node(param.value, label=param.name, needs_grad=self.record and param.trainable)
+        node = Node(param.value, param.name, Handle() if self.record and param.trainable else None)
         self._leaves[param.name] = (param, node)
         return node
 
@@ -129,33 +154,64 @@ class GradGraph:
         return Node(np.asarray(value, dtype=DEFAULT_DTYPE))
 
     # -- ops -----------------------------------------------------------------
+    # Each adjoint closes over handles and the arrays it reads, never over a
+    # Node, so an output that no adjoint reads dies with its last forward use.
 
     def conv2d(self, x: Node, weight: Node, bias: Node | None, spec: ConvSpec) -> Node:
         out = tensor.conv2d(x.value, weight.value, None if bias is None else bias.value, spec)
+        hx, hw, hb = x.handle, weight.handle, None if bias is None else bias.handle
+        xv = x.value if hw is not None else None
+        wv = weight.value if hx is not None else None
+        h, w = x.value.shape[2:]
 
         def backprop(dy, send):
-            if weight.needs_grad:
-                send(weight, tensor.conv2d_weight_grad(x.value, dy, spec))
-            if bias is not None and bias.needs_grad:
-                send(bias, dy.sum(axis=(0, 2, 3)))
-            if x.needs_grad:
-                send(x, tensor.conv2d_input_grad(weight.value, dy, spec, *x.value.shape[2:]))
+            if hw is not None:
+                send(hw, tensor.conv2d_weight_grad(xv, dy, spec))
+            if hb is not None:
+                send(hb, dy.sum(axis=(0, 2, 3)))
+            if hx is not None:
+                send(hx, tensor.conv2d_input_grad(wv, dy, spec, h, w))
 
         return self._record(out, backprop, "conv2d", x, weight, bias)
+
+    def concat_conv2d(self, a: Node, b: Node, weight: Node, bias: Node | None,
+                      spec: ConvSpec) -> Node:
+        """``conv2d(concat_channels(a, b), ...)`` without keeping the concat:
+        the adjoint forms it again for dW, and dx splits into the two inputs."""
+        out = tensor.conv2d(tensor.concat_channels(a.value, b.value), weight.value,
+                            None if bias is None else bias.value, spec)
+        ha, hb, hw = a.handle, b.handle, weight.handle
+        hbias = None if bias is None else bias.handle
+        pair = (a.value, b.value) if hw is not None else None
+        wv = weight.value if ha is not None or hb is not None else None
+        ca, (h, w) = a.value.shape[1], a.value.shape[2:]
+
+        def backprop(dy, send):
+            if hw is not None:
+                send(hw, tensor.conv2d_weight_grad(tensor.concat_channels(*pair), dy, spec))
+            if hbias is not None:
+                send(hbias, dy.sum(axis=(0, 2, 3)))
+            if wv is not None:
+                dx = tensor.conv2d_input_grad(wv, dy, spec, h, w)
+                send(ha, dx[:, :ca])
+                send(hb, dx[:, ca:])
+
+        return self._record(out, backprop, "conv2d", a, b, weight, bias)
 
     def batchnorm2d(self, x: Node, gamma: Node, beta: Node, stats: RunningStats,
                     train: bool, update_running: bool = True) -> Node:
         # eval mode: snapshot so later in-place updates cannot corrupt this adjoint
         snapshot = None if train else (stats.mean.copy(), stats.var.copy())
-        out = tensor.batchnorm2d(x.value, gamma.value, beta.value, stats, train, update_running)
+        xv, gv = x.value, gamma.value
+        out = tensor.batchnorm2d(xv, gv, beta.value, stats, train, update_running)
+        hx, hg, hb = x.handle, gamma.handle, beta.handle
 
         def backprop(dy, send):
-            xv = x.value
             mean, var = tensor.batch_moments(xv) if train else snapshot
             xhat, inv = tensor._normalize(xv, mean, var)
-            send(gamma, (dy * xhat).sum(axis=(0, 2, 3)))
-            send(beta, dy.sum(axis=(0, 2, 3)))
-            dxhat = dy * gamma.value[None, :, None, None]
+            send(hg, (dy * xhat).sum(axis=(0, 2, 3)))
+            send(hb, dy.sum(axis=(0, 2, 3)))
+            dxhat = dy * gv[None, :, None, None]
             if train:
                 m = xv.shape[0] * xv.shape[2] * xv.shape[3]
                 s1 = dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
@@ -163,43 +219,50 @@ class GradGraph:
                 dx = (inv / m) * (m * dxhat - s1 - xhat * s2)
             else:
                 dx = dxhat * inv
-            send(x, dx)
+            send(hx, dx)
 
         return self._record(out, backprop, "batchnorm2d", x, gamma, beta)
 
     def relu(self, x: Node) -> Node:
         out = tensor.activation(x.value, "relu")
+        hx = x.handle
 
         def backprop(dy, send):
-            send(x, dy * (x.value > 0))
+            # out > 0 exactly where x > 0 (NaN and -0.0 included), so x need not be kept
+            send(hx, dy * (out > 0))
 
         return self._record(out, backprop, "relu", x)
 
     def sigmoid(self, x: Node) -> Node:
         out = tensor.activation(x.value, "sigmoid")
+        hx = x.handle
 
         def backprop(dy, send):
-            send(x, dy * out * (1.0 - out))
+            send(hx, dy * out * (1.0 - out))
 
         return self._record(out, backprop, "sigmoid", x)
 
     def concat_channels(self, a: Node, b: Node) -> Node:
         out = tensor.concat_channels(a.value, b.value)
-        ca = a.value.shape[1]
+        ha, hb, ca = a.handle, b.handle, a.value.shape[1]
 
         def backprop(dy, send):
-            send(a, dy[:, :ca])
-            send(b, dy[:, ca:])
+            send(ha, dy[:, :ca])
+            send(hb, dy[:, ca:])
 
         return self._record(out, backprop, "concat", a, b)
 
     def hadamard(self, a: Node, b: Node) -> Node:
         out = tensor.hadamard(a.value, b.value)
-        av, bv = a.value, b.value
+        ha, hb = a.handle, b.handle
+        av = a.value if hb is not None else None
+        bv = b.value if ha is not None else None
 
         def backprop(dy, send):
-            send(a, dy * bv)
-            send(b, dy * av)
+            if ha is not None:
+                send(ha, dy * bv)
+            if hb is not None:
+                send(hb, dy * av)
 
         return self._record(out, backprop, "hadamard", a, b)
 
@@ -207,69 +270,71 @@ class GradGraph:
         if a.value.shape != b.value.shape:
             raise DimensionError(f"add shapes differ: {a.value.shape} vs {b.value.shape}")
         out = a.value + b.value
+        ha, hb = a.handle, b.handle
 
         def backprop(dy, send):
-            send(a, dy)
-            send(b, dy)
+            send(ha, dy)
+            send(hb, dy)
 
         return self._record(out, backprop, "add", a, b)
 
     def maxpool(self, x: Node, window: int, stride: int | None = None) -> Node:
         stride = window if stride is None else stride
-        out = tensor.pool2d(x.value, "max", window, stride)
+        xv, hx = x.value, x.handle
+        out = tensor.pool2d(xv, "max", window, stride)
 
         def backprop(dy, send):
             n, c, oh, ow = dy.shape
-            windows = tensor._conv_windows(x.value, window, window, stride, 0)
+            windows = tensor._conv_windows(xv, window, window, stride, 0)
             winner = windows.reshape(n, c, window * window, oh, ow).argmax(axis=2)
-            dx = np.zeros_like(x.value)
+            dx = np.zeros_like(xv)
             ni, ci, oi, oj = np.indices((n, c, oh, ow))
             rows = oi * stride + winner // window
             cols = oj * stride + winner % window
             np.add.at(dx, (ni, ci, rows, cols), dy)
-            send(x, dx)
+            send(hx, dx)
 
         return self._record(out, backprop, "maxpool", x)
 
     def global_avg_pool(self, x: Node) -> Node:
         out = tensor.pool2d(x.value, "global_avg")
-        _, _, h, w = x.value.shape
+        hx, shape = x.handle, x.value.shape
 
         def backprop(dy, send):
-            send(x, np.broadcast_to(dy / (h * w), x.value.shape))
+            send(hx, np.broadcast_to(dy / (shape[2] * shape[3]), shape))
 
         return self._record(out, backprop, "global_avg_pool", x)
 
     def flatten(self, x: Node) -> Node:
-        n = x.value.shape[0]
-        out = x.value.reshape(n, -1)
-        shape = x.value.shape
+        hx, shape = x.handle, x.value.shape
+        out = x.value.reshape(shape[0], -1)
 
         def backprop(dy, send):
-            send(x, dy.reshape(shape))
+            send(hx, dy.reshape(shape))
 
         return self._record(out, backprop, "flatten", x)
 
     def linear(self, x: Node, weight: Node, bias: Node) -> Node:
-        out = tensor.linear(x.value, weight.value, bias.value)
         xv, wv = x.value, weight.value
+        out = tensor.linear(xv, wv, bias.value)
+        hx, hw, hb = x.handle, weight.handle, bias.handle
 
         def backprop(dy, send):
-            send(weight, dy.T @ xv)
-            send(bias, dy.sum(axis=0))
-            send(x, dy @ wv)
+            send(hw, dy.T @ xv)
+            send(hb, dy.sum(axis=0))
+            send(hx, dy @ wv)
 
         return self._record(out, backprop, "linear", x, weight, bias)
 
     def softmax_cross_entropy(self, logits: Node, labels) -> Node:
         labels = np.asarray(labels)
         loss, probs = tensor.softmax_cross_entropy(logits.value, labels)
-        n = len(labels)
+        hx, n = logits.handle, len(labels)
 
         def backprop(dy, send):
             onehot = np.zeros(probs.shape, dtype=DEFAULT_DTYPE)
             onehot[np.arange(n), labels] = 1.0
-            send(logits, float(dy) * (probs - onehot) / n)
+            send(hx, float(dy) * (probs - onehot) / n)
 
         return self._record(np.float64(loss), backprop, "softmax_cross_entropy", logits)
 
@@ -279,23 +344,12 @@ class GradGraph:
         if weights.shape != x.value.shape:
             raise DimensionError(f"weights shape {weights.shape} != value shape {x.value.shape}")
         out = np.float64((weights * x.value).sum())
+        hx = x.handle
 
         def backprop(dy, send):
-            send(x, float(dy) * weights)
+            send(hx, float(dy) * weights)
 
         return self._record(out, backprop, "weighted_sum", x)
-
-    def first_non_finite(self) -> tuple[str, str | None] | None:
-        """Op kind of the earliest tape node whose value holds a NaN or an inf,
-        and the name of the param it reads (its first non-finite one, else its
-        first; None for an op that reads no param)."""
-        node = next((n for n in self._tape if not np.isfinite(n.value).all()), None)
-        if node is None:
-            return None
-        names = {id(leaf): name for name, (_, leaf) in self._leaves.items()}
-        params = [x for x in node.inputs if id(x) in names]
-        params.sort(key=lambda leaf: bool(np.isfinite(leaf.value).all()))
-        return node.label, names[id(params[0])] if params else None
 
     # -- backward ------------------------------------------------------------
 
@@ -305,20 +359,62 @@ class GradGraph:
             raise RuntimeError("backward on a graph built with record=False")
         if np.size(root.value) != 1:
             raise ValueError(f"backward needs a scalar root, got shape {np.shape(root.value)}")
-        grads = {root: np.ones_like(root.value, dtype=DEFAULT_DTYPE)}
+        grads = {}
+        if root.handle is not None:
+            grads[root.handle] = np.ones_like(root.value, dtype=DEFAULT_DTYPE)
 
-        def send(parent: Node, grad):
+        def send(parent: Handle | None, grad):
             pending = grads.get(parent)
             if pending is not None:
                 pending += grad
-            elif parent.needs_grad:
+            elif parent is not None:
                 grads[parent] = np.array(grad, dtype=DEFAULT_DTYPE)
 
-        for node in reversed(self._tape):
-            if node in grads:
-                node._backprop(grads.pop(node), send)
-        return {name: grads[node] if node in grads else np.zeros_like(param.value)
+        for handle in reversed(self._tape):
+            if handle in grads:
+                handle._backprop(grads.pop(handle), send)
+        return {name: grads[node.handle] if node.handle in grads else np.zeros_like(param.value)
                 for name, (param, node) in self._leaves.items() if param.trainable}
+
+
+class _FiniteWatch(GradGraph):
+    """A graph that keeps no tape and notes the first op output that is not
+    finite, among the outputs a recording graph would tape."""
+
+    def __init__(self):
+        super().__init__()
+        self.first = None
+
+    def _record(self, value, backprop, label, *inputs) -> Node:
+        for x in inputs:
+            if x is not None and x.handle is not None:
+                if self.first is None and not np.isfinite(value).all():
+                    self.first = (label, self._param_read(inputs))
+                return Node(value, label, Handle())
+        return Node(value, label)
+
+    def _param_read(self, inputs) -> str | None:
+        """Name of the first non-finite param among ``inputs``, else of the first param."""
+        names = {id(leaf): name for name, (_, leaf) in self._leaves.items()}
+        params = [x for x in inputs if id(x) in names]
+        params.sort(key=lambda leaf: bool(np.isfinite(leaf.value).all()))
+        return names[id(params[0])] if params else None
+
+
+def first_non_finite(make_loss) -> tuple[str, str | None] | None:
+    """Op kind of the earliest taped op whose output holds a NaN or an inf,
+    and the name of the param it reads (its first non-finite one, else its
+    first; None for an op that reads no param); None when every output is finite.
+
+    A tape keeps no op outputs to scan, so ``make_loss(graph)`` rebuilds the
+    forward, as in ``grad_check``, on a graph that checks each output as its
+    op creates it. For the result to name the op that failed, the rebuild must
+    compute the same values: a train-mode forward passes
+    ``update_running=False`` so the running statistics move only once.
+    """
+    graph = _FiniteWatch()
+    make_loss(graph)
+    return graph.first
 
 
 # -- numerical verification ---------------------------------------------------

@@ -44,8 +44,11 @@ def _parse_quotas(pairs) -> dict[int, int]:
         if name not in LABEL_NAMES:
             raise ConfigError([f"--quota: unknown class {name!r}; "
                                f"choose from {', '.join(LABEL_NAMES)}"])
+        cls = LABEL_NAMES.index(name)
+        if cls in quotas:
+            raise ConfigError([f"--quota: class {name!r} is given more than once"])
         try:
-            quotas[LABEL_NAMES.index(name)] = int(value)
+            quotas[cls] = int(value)
         except ValueError:
             raise ConfigError([f"--quota: {spec!r} is not of the form class=COUNT"]) from None
     return quotas

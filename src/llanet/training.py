@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import tensor
-from .autodiff import GradGraph
+from .autodiff import GradGraph, first_non_finite
 from .metrics import ConfusionMatrix, challenge_score, metrics_report, summarize
 from .network import (NetworkConfig, ParamStore, network_loss_graph,
                       network_forward, save_checkpoint)
@@ -207,7 +207,9 @@ def train_epoch(store: ParamStore, state: OptimizerState, dataset: LoadedDataset
         grads = graph.backward(loss)
         bad = [name for name, g in grads.items() if not _all_finite(g)]
         if bad or not np.isfinite(loss.value):
-            first = graph.first_non_finite()
+            del graph, trace, grads  # free this step's tape before the rebuild
+            first = first_non_finite(lambda g: network_loss_graph(
+                g, x, labels, store, net_cfg, train=True, update_running=False)[1])
             if first is None:
                 where = f"the gradient of {bad[0]!r}"
             else:

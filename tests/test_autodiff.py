@@ -1,5 +1,6 @@
 """Tape differentiation: adjoint rules, accumulation, and the finite-difference verifier."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -390,6 +391,64 @@ def test_tape_is_freed_by_reference_counting():
         gc.enable()
 
 
+def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch):
+    # micro plus a downsampling module, so a shortcut batch norm is built too
+    cfg = dataclasses.replace(network.preset("micro"), stages=(
+        network.StageSpec(1, 4, 1), network.StageSpec(1, 8, 2)))
+    store = network.init_network(cfg)
+    x = np.random.default_rng(16).standard_normal((2, *cfg.input_shape))
+    made = {}  # what made an output -> weak references to the output values
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def logged(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made.setdefault(name, []).append(weakref.ref(getattr(out, "value", out)))
+            return out
+
+        monkeypatch.setattr(owner, name, logged)
+
+    for owner, name in ((GradGraph, "batchnorm2d"), (GradGraph, "add"),
+                        (GradGraph, "concat_conv2d"), (tensor, "concat_channels")):
+        spy(owner, name)
+
+    def make_loss(g):
+        made.clear()
+        gc.disable()  # only reference counting may free a value
+        try:
+            trace, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
+                                                     update_running=False)
+            if g.record:  # the tape is alive: the outputs no adjoint reads are not
+                # every batch-norm output (stem, bn1, bn2, shortcut), both residual
+                # sums, both gate concats and both pre-sigmoid gate outputs
+                assert {k: len(v) for k, v in made.items()} == {
+                    "batchnorm2d": 6, "add": 2, "concat_channels": 2, "concat_conv2d": 2}
+                assert [k for k, refs in made.items() if any(r() is not None for r in refs)] == []
+                assert len(trace.modules) == 2  # the trace is alive too, as in train_epoch
+        finally:
+            gc.enable()
+        return loss
+
+    report = grad_check(make_loss, store.trainable(), max_entries=4)
+    assert report.checked > 0 and report.max_error < 1e-4
+
+
+def test_relu_adjoint_masks_like_its_input_on_special_values():
+    tiny = np.finfo(np.float64).tiny
+    v = np.array([np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324, tiny / 2, -tiny / 2,
+                  np.inf, -np.inf, 1.0, -1.0])
+    x = Param("x", v.reshape(1, 1, 3, 4))
+    probe = np.random.default_rng(17).standard_normal(x.value.shape)
+    g = GradGraph()
+    with np.errstate(invalid="ignore"):
+        grads = g.backward(g.weighted_sum(g.relu(g.leaf(x)), probe))
+    positive = x.value > 0
+    npt.assert_array_equal(positive.reshape(-1), [0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0])
+    npt.assert_array_equal(tensor.activation(x.value, "relu") > 0, positive)
+    assert grads["x"].tobytes() == (probe * positive).tobytes()
+
+
 def test_backward_frees_each_cotangent_once_used():
     # 40 chained ops on a ~1 MB map: keeping every cotangent would peak near 40 MB
     x = Param("x", np.random.default_rng(11).standard_normal((1, 1, 362, 362)))
@@ -454,10 +513,10 @@ def test_grad_check_reevaluates_without_a_tape(monkeypatch):
 def log_sends(graph):
     """Wrap each adjoint on the tape so every input it sends a cotangent to is logged."""
     sent = []
-    for node in graph._tape:
-        def logged(dy, send, backprop=node._backprop):
+    for handle in graph._tape:
+        def logged(dy, send, backprop=handle._backprop):
             backprop(dy, lambda parent, grad: (sent.append(parent), send(parent, grad)))
-        node._backprop = logged
+        handle._backprop = logged
     return sent
 
 
@@ -470,9 +529,11 @@ def test_frozen_gate_backward_skips_unneeded_gradients(monkeypatch):
 
     def run():
         g = GradGraph()
+        constants = []
+        g.constant = lambda value, make=g.constant: constants.append(make(value)) or constants[-1]
         _, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
                                              update_running=False)
-        image = g._tape[0].inputs[0]  # the input of the stem conv, the first op taped
+        image, = constants  # the image batch, the one constant the forward enters
         npt.assert_array_equal(image.value, x)
         sent = log_sends(g)
         dw_channels = []  # input channels of each conv weight gradient the adjoints form
@@ -485,8 +546,8 @@ def test_frozen_gate_backward_skips_unneeded_gradients(monkeypatch):
     grads, sent, dw_channels, image, gate_leaves = run()
     # the gate conv takes 2C = 8 channels: its weight gradient is never formed
     assert dw_channels == [4, 4, 3]
-    assert all(parent.needs_grad for parent in sent)
-    assert not any(parent is node for parent in sent for node in [image, *gate_leaves])
+    assert all(isinstance(parent, autodiff.Handle) for parent in sent)
+    assert not any(parent is node.handle for parent in sent for node in [image, *gate_leaves])
     # the same step with the gate trainable computes the very same other gradients
     for p in gate:
         p.trainable = True

@@ -185,6 +185,18 @@ def test_rebalance_cli_rejects_unknown_quota_class(tmp_path):
     assert rc == 2
 
 
+def test_rebalance_cli_rejects_a_repeated_quota_class(tmp_path, capsys):
+    src = tmp_path / "m.csv"
+    write_manifest_text(src, ["s,0,img.ppm,0,primary\n"])
+    out = tmp_path / "o"
+    rc = run_cli("rebalance", "--manifest", src, "--quota", "anger=5", "--quota", "anger=1",
+                 "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--quota" in err and "'anger'" in err
+    assert not out.exists()
+
+
 def rebalance_rejects(tmp_path, capsys, flag, *argv):
     """Run rebalance with a bad flag value: exit 2 naming the flag, and the
     output directory is never made."""

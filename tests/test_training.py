@@ -320,6 +320,35 @@ def test_divergence_stops_the_epoch_before_the_update():
         npt.assert_array_equal(p.value, before[p.name])
 
 
+def test_divergence_moves_the_running_stats_once(monkeypatch):
+    # the failure path rebuilds the step's forward to name the op; the running
+    # statistics must stay as the one train-mode forward of the step left them
+    batches = []
+    loss_graph = training.network_loss_graph
+
+    def spy(graph, x, labels, *args, **kwargs):
+        batches.append((x, labels))
+        return loss_graph(graph, x, labels, *args, **kwargs)
+
+    monkeypatch.setattr(training, "network_loss_graph", spy)
+    cfg = preset("micro", seed=0)
+    store, expected = init_network(cfg), init_network(cfg)
+    for s in (store, expected):
+        s["head.bias"].value[0] = np.inf
+    tc = TrainConfig(batch_size=2)
+    with pytest.raises(DivergenceError, match=r"tape op 'linear'"), np.errstate(invalid="ignore"):
+        train_epoch(store, OptimizerState(store, tc), micro_dataset(), cfg, tc, NORM, None,
+                    np.random.default_rng(0), epoch=0)
+    assert len(batches) == 2 and batches[0][0] is batches[1][0]  # the step, then its rebuild
+    with np.errstate(invalid="ignore"):
+        loss_graph(training.GradGraph(record=False), *batches[0], expected, cfg, train=True)
+    stats = [p.name for p in store if ".running_" in p.name]
+    assert len(stats) == 6  # stem.bn, bn1 and bn2: a mean and a var each
+    for name in stats:
+        assert not np.array_equal(store[name].value, init_network(cfg)[name].value)
+        npt.assert_array_equal(store[name].value, expected[name].value)
+
+
 @pytest.mark.parametrize("attention", ["learned", "frozen"])
 def test_divergence_names_the_param_of_the_first_non_finite_op(attention):
     cfg = preset("micro", seed=0, attention=attention)
