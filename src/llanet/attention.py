@@ -47,9 +47,6 @@ class AttentionParams:
     def channels(self) -> int:
         return self.spec.out_channels
 
-    def params(self) -> tuple[Param, Param]:
-        return (self.weight, self.bias)
-
 
 def init_attention(channels: int, kernel: int, rng: np.random.Generator,
                    prefix: str = "attn", trainable: bool = True,
@@ -99,10 +96,11 @@ def attention_forward_graph(graph: GradGraph, f_pre: Node, f_cur: Node,
                             params: AttentionParams) -> tuple[Node, Node]:
     """The gate on a tape: mask conv of the concat, sigmoid, multiply.
 
-    The concat is formed inside ``concat_conv2d``, so the tape never keeps it.
+    The conv reads the pair ``(f_pre, f_cur)`` as its input, so the concat is
+    formed inside ``GradGraph.conv2d`` and the tape never keeps it.
     """
     _check_pair(f_pre.value, f_cur.value, params)
-    pre_mask = graph.concat_conv2d(f_pre, f_cur, graph.leaf(params.weight),
-                                   graph.leaf(params.bias), params.spec)
+    pre_mask = graph.conv2d((f_pre, f_cur), graph.leaf(params.weight),
+                            graph.leaf(params.bias), params.spec)
     mask = graph.sigmoid(pre_mask)
     return graph.hadamard(f_cur, mask), mask

@@ -16,10 +16,13 @@ its inputs' handles, never a ``Node``. So an op output that no adjoint reads
 dies by reference counting with its last forward use: a batch-norm output
 that only feeds an add or a ReLU, a residual sum, the gate's pre-sigmoid
 conv output. ReLU masks on its own output, which is positive exactly where
-its input is, and the gate conv (``concat_conv2d``) forms the ``F_pre``‖
-``F_cur`` concat again inside its adjoint instead of keeping it. Since the
-tape keeps no op outputs, ``first_non_finite`` rebuilds a failed step's
-forward to find the first one that is not finite.
+its input is. ``conv2d`` also takes a pair of nodes as one input, as the gate
+conv reads ``F_pre``‖``F_cur``: it forms the concat for the forward and again
+inside its adjoint instead of keeping it. Batch norm's adjoint reads the
+per-channel mean and variance its kernel normalized with (2C floats) rather
+than computing them again. Since the tape keeps no op outputs,
+``first_non_finite`` rebuilds a failed step's forward to find the first one
+that is not finite.
 
 ``backward`` walks the tape in reverse creation order, which is a valid
 topological order. It keeps the pending cotangents itself, keyed on
@@ -116,6 +119,13 @@ class Node:
         return f"Node({self.label or 'const'}, shape={np.shape(self.value)})"
 
 
+def _joined(parts) -> np.ndarray:
+    """The one conv input that ``parts`` stand for, their channels in order.
+    Callers pass it straight to a kernel, so a pair's concat is freed as soon
+    as the kernel returns rather than held through the rest of an adjoint."""
+    return parts[0] if len(parts) == 1 else tensor.concat_channels(*parts)
+
+
 class GradGraph:
     """Tape of differentiable ops; build a scalar loss, then call ``backward``.
 
@@ -130,7 +140,7 @@ class GradGraph:
     # -- graph construction -------------------------------------------------
 
     def _record(self, value, backprop, label, *inputs) -> Node:
-        """Tape ``backprop`` only when some input (None for a missing bias) needs a gradient."""
+        """Tape ``backprop`` only when some input (None for a missing one) needs a gradient."""
         for x in inputs:  # a plain loop: any() over a generator costs twice the op's overhead
             if x is not None and x.handle is not None:
                 handle = Handle(backprop, label)
@@ -157,57 +167,45 @@ class GradGraph:
     # Each adjoint closes over handles and the arrays it reads, never over a
     # Node, so an output that no adjoint reads dies with its last forward use.
 
-    def conv2d(self, x: Node, weight: Node, bias: Node | None, spec: ConvSpec) -> Node:
-        out = tensor.conv2d(x.value, weight.value, None if bias is None else bias.value, spec)
-        hx, hw, hb = x.handle, weight.handle, None if bias is None else bias.handle
-        xv = x.value if hw is not None else None
-        wv = weight.value if hx is not None else None
-        h, w = x.value.shape[2:]
-
-        def backprop(dy, send):
-            if hw is not None:
-                send(hw, tensor.conv2d_weight_grad(xv, dy, spec))
-            if hb is not None:
-                send(hb, dy.sum(axis=(0, 2, 3)))
-            if hx is not None:
-                send(hx, tensor.conv2d_input_grad(wv, dy, spec, h, w))
-
-        return self._record(out, backprop, "conv2d", x, weight, bias)
-
-    def concat_conv2d(self, a: Node, b: Node, weight: Node, bias: Node | None,
-                      spec: ConvSpec) -> Node:
-        """``conv2d(concat_channels(a, b), ...)`` without keeping the concat:
-        the adjoint forms it again for dW, and dx splits into the two inputs."""
-        out = tensor.conv2d(tensor.concat_channels(a.value, b.value), weight.value,
-                            None if bias is None else bias.value, spec)
-        ha, hb, hw = a.handle, b.handle, weight.handle
-        hbias = None if bias is None else bias.handle
-        pair = (a.value, b.value) if hw is not None else None
+    def conv2d(self, x: Node | tuple[Node, Node], weight: Node, bias: Node | None,
+               spec: ConvSpec) -> Node:
+        """Conv of ``x``, a node or a pair ``(a, b)`` read as one input with
+        ``b``'s channels after ``a``'s. A pair's concat is formed for the
+        forward and again in the adjoint for dW, never kept; dx splits
+        between ``a`` and ``b``."""
+        a, b = x if isinstance(x, tuple) else (x, None)
+        parts = (a.value,) if b is None else (a.value, b.value)
+        out = tensor.conv2d(_joined(parts), weight.value, None if bias is None else bias.value,
+                            spec)
+        ha, hb = a.handle, None if b is None else b.handle
+        hw, hbias = weight.handle, None if bias is None else bias.handle
+        kept = parts if hw is not None else None
         wv = weight.value if ha is not None or hb is not None else None
         ca, (h, w) = a.value.shape[1], a.value.shape[2:]
 
         def backprop(dy, send):
             if hw is not None:
-                send(hw, tensor.conv2d_weight_grad(tensor.concat_channels(*pair), dy, spec))
+                send(hw, tensor.conv2d_weight_grad(_joined(kept), dy, spec))
             if hbias is not None:
                 send(hbias, dy.sum(axis=(0, 2, 3)))
             if wv is not None:
                 dx = tensor.conv2d_input_grad(wv, dy, spec, h, w)
-                send(ha, dx[:, :ca])
-                send(hb, dx[:, ca:])
+                if ha is not None:
+                    send(ha, dx[:, :ca])
+                if hb is not None:
+                    send(hb, dx[:, ca:])
 
         return self._record(out, backprop, "conv2d", a, b, weight, bias)
 
     def batchnorm2d(self, x: Node, gamma: Node, beta: Node, stats: RunningStats,
                     train: bool, update_running: bool = True) -> Node:
-        # eval mode: snapshot so later in-place updates cannot corrupt this adjoint
-        snapshot = None if train else (stats.mean.copy(), stats.var.copy())
         xv, gv = x.value, gamma.value
-        out = tensor.batchnorm2d(xv, gv, beta.value, stats, train, update_running)
+        # the kernel's moments are its own arrays: in eval mode a copy of the
+        # running stats, so a later in-place update cannot reach this adjoint
+        out, mean, var = tensor.batchnorm2d(xv, gv, beta.value, stats, train, update_running)
         hx, hg, hb = x.handle, gamma.handle, beta.handle
 
         def backprop(dy, send):
-            mean, var = tensor.batch_moments(xv) if train else snapshot
             xhat, inv = tensor._normalize(xv, mean, var)
             send(hg, (dy * xhat).sum(axis=(0, 2, 3)))
             send(hb, dy.sum(axis=(0, 2, 3)))
@@ -378,20 +376,18 @@ class GradGraph:
 
 
 class _FiniteWatch(GradGraph):
-    """A graph that keeps no tape and notes the first op output that is not
-    finite, among the outputs a recording graph would tape."""
+    """A graph that tapes no adjoints and notes the first op output that is
+    not finite, among the outputs a recording graph would tape."""
 
     def __init__(self):
         super().__init__()
         self.first = None
 
     def _record(self, value, backprop, label, *inputs) -> Node:
-        for x in inputs:
-            if x is not None and x.handle is not None:
-                if self.first is None and not np.isfinite(value).all():
-                    self.first = (label, self._param_read(inputs))
-                return Node(value, label, Handle())
-        return Node(value, label)
+        node = super()._record(value, None, label, *inputs)
+        if node.handle is not None and self.first is None and not np.isfinite(value).all():
+            self.first = (label, self._param_read(inputs))
+        return node
 
     def _param_read(self, inputs) -> str | None:
         """Name of the first non-finite param among ``inputs``, else of the first param."""

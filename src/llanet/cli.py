@@ -148,6 +148,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--eps", args.eps), ("--tolerance", args.tolerance)):
+        if not 0.0 < value < np.inf:
+            raise ConfigError([f"{flag}: must be finite and > 0, got {value}"])
     results = run_suite(args.preset, eps=args.eps)
     worst_name, worst = None, -1.0
     failed = False

@@ -437,16 +437,18 @@ def load_checkpoint(path, store: ParamStore, cfg: NetworkConfig) -> None:
             name = read(fh, nlen).decode()
             flags, ndim = struct.unpack("<BB", read(fh, 2))
             shape = struct.unpack(f"<{ndim}I", read(fh, 4 * ndim))
-            data = np.frombuffer(read(fh, 8 * int(np.prod(shape, dtype=np.int64))),
-                                 dtype="<f8").reshape(shape)
+            # the entry is checked against the store before its data is read,
+            # so the read is the store entry's size, never a declared one
             if name not in store:
                 raise CheckpointError(f"{path}: unknown parameter {name!r}")
             if name in entries:
                 raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
-            if store[name].value.shape != shape:
+            expected = store[name].value
+            if expected.shape != shape:
                 raise CheckpointError(f"{path}: parameter {name!r} has shape {shape}, "
-                                      f"expected {store[name].value.shape}")
-            entries[name] = flags, data
+                                      f"expected {expected.shape}")
+            entries[name] = flags, np.frombuffer(read(fh, 8 * expected.size),
+                                                 dtype="<f8").reshape(shape)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last parameter")
     for name, (flags, data) in entries.items():

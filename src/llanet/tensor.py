@@ -7,7 +7,8 @@ take their values from them, and their adjoints rebuild what only the
 backward pass needs with the helpers here: ``conv2d_weight_grad`` and
 ``conv2d_input_grad`` for the conv, ``_conv_windows`` for the max-pool
 windows, and ``_normalize``, which batch norm's kernel and adjoint share so
-both normalize with the same ``BN_EPS``.
+both normalize with the same ``BN_EPS``. ``batchnorm2d`` returns the
+per-channel moments it normalized with, which its adjoint reads.
 Running batch-norm statistics are owned by the caller and passed in
 explicitly, so kernels keep no hidden state.
 
@@ -338,12 +339,14 @@ def _normalize(x, mean, var):
 
 
 def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
-                update_running: bool = True) -> np.ndarray:
+                update_running: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalise per channel; train mode uses batch statistics, eval the running ones.
 
-    In train mode the running stats are updated in place with momentum
-    ``BN_MOMENTUM`` (variance with the unbiased estimate) unless
-    ``update_running`` is False.
+    Returns ``(out, mean, var)``: the output and the per-channel moments it
+    normalized with, as arrays of the kernel's own (in eval mode, copies of
+    the running stats). In train mode the running stats are updated in place
+    with momentum ``BN_MOMENTUM`` (variance with the unbiased estimate)
+    unless ``update_running`` is False.
     """
     x = _require_nchw(x)
     c = x.shape[1]
@@ -364,9 +367,9 @@ def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
             stats.var *= 1.0 - BN_MOMENTUM
             stats.var += BN_MOMENTUM * (var * (m / (m - 1.0)))
     else:
-        mean, var = stats.mean, stats.var
+        mean, var = stats.mean.copy(), stats.var.copy()
     xhat, _ = _normalize(x, mean, var)
-    return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    return gamma[None, :, None, None] * xhat + beta[None, :, None, None], mean, var
 
 
 def _sigmoid(x):

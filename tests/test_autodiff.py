@@ -363,6 +363,26 @@ def test_eval_batchnorm_treats_running_stats_as_constants():
     npt.assert_allclose(grads["x"], expected, atol=1e-12)
 
 
+def test_eval_batchnorm_adjoint_reads_the_stats_its_forward_used():
+    rng = np.random.default_rng(21)
+    x = Param("x", rng.standard_normal((2, 2, 3, 3)))
+    gamma = Param("gamma", np.array([1.5, 0.5]))
+    beta = Param("beta", np.zeros(2))
+    used = RunningStats(np.array([0.3, -0.2]), np.array([1.2, 0.7]))
+    stats = RunningStats(used.mean.copy(), used.var.copy())
+    g = GradGraph()
+    y = g.batchnorm2d(g.leaf(x), g.leaf(gamma), g.leaf(beta), stats, train=False)
+    loss = ones_probe(g, y)
+    stats.mean += 5.0  # in place, as a train-mode forward updates them
+    stats.var *= 3.0
+    grads = g.backward(loss)
+    inv = 1.0 / np.sqrt(used.var + 1e-5)
+    npt.assert_allclose(grads["x"], np.broadcast_to(
+        (gamma.value * inv)[None, :, None, None], x.value.shape), atol=1e-12)
+    xhat = (x.value - used.mean[None, :, None, None]) * inv[None, :, None, None]
+    npt.assert_allclose(grads["gamma"], xhat.sum(axis=(0, 2, 3)), atol=1e-12)
+
+
 def test_graph_batchnorm_rejects_what_the_kernel_rejects():
     g = GradGraph()
     x = g.constant(np.zeros((2, 3, 2, 2)))
@@ -399,19 +419,23 @@ def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch):
     x = np.random.default_rng(16).standard_normal((2, *cfg.input_shape))
     made = {}  # what made an output -> weak references to the output values
 
-    def spy(owner, name):
+    def spy(owner, name, when=lambda *args: True):
         fn = getattr(owner, name)
 
         def logged(*args, **kwargs):
             out = fn(*args, **kwargs)
-            made.setdefault(name, []).append(weakref.ref(getattr(out, "value", out)))
+            if when(*args):
+                made.setdefault(name, []).append(weakref.ref(getattr(out, "value", out)))
             return out
 
         monkeypatch.setattr(owner, name, logged)
 
     for owner, name in ((GradGraph, "batchnorm2d"), (GradGraph, "add"),
-                        (GradGraph, "concat_conv2d"), (tensor, "concat_channels")):
+                        (tensor, "concat_channels")):
         spy(owner, name)
+    # only the gate convs, the ones given a pair: a backbone conv output is
+    # read by its batch norm's adjoint and stays alive
+    spy(GradGraph, "conv2d", when=lambda graph, x, *rest: isinstance(x, tuple))
 
     def make_loss(g):
         made.clear()
@@ -423,7 +447,7 @@ def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch):
                 # every batch-norm output (stem, bn1, bn2, shortcut), both residual
                 # sums, both gate concats and both pre-sigmoid gate outputs
                 assert {k: len(v) for k, v in made.items()} == {
-                    "batchnorm2d": 6, "add": 2, "concat_channels": 2, "concat_conv2d": 2}
+                    "batchnorm2d": 6, "add": 2, "concat_channels": 2, "conv2d": 2}
                 assert [k for k, refs in made.items() if any(r() is not None for r in refs)] == []
                 assert len(trace.modules) == 2  # the trace is alive too, as in train_epoch
         finally:
@@ -432,6 +456,45 @@ def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch):
 
     report = grad_check(make_loss, store.trainable(), max_entries=4)
     assert report.checked > 0 and report.max_error < 1e-4
+
+
+def test_gate_conv_runs_through_the_one_conv_op(monkeypatch):
+    cfg = network.preset("micro")
+    store = network.init_network(cfg)
+    x = np.random.default_rng(22).standard_normal((2, *cfg.input_shape))
+    conv = GradGraph.conv2d
+    inputs = []
+    monkeypatch.setattr(GradGraph, "conv2d",
+                        lambda graph, x, *rest: inputs.append(x) or conv(graph, x, *rest))
+    network.network_forward_graph(GradGraph(), x, store, cfg, train=True)
+    # stem, the module's two convs, and the gate, which is given the pair (F_pre, F_cur)
+    assert len(inputs) == 4
+    assert [type(v) for v in inputs].count(tuple) == 1
+    assert not hasattr(GradGraph, "concat_conv2d")
+
+
+def test_train_batchnorm_takes_its_moments_once_a_step(monkeypatch):
+    cfg = network.preset("micro")
+    store = network.init_network(cfg)
+    x = np.random.default_rng(23).standard_normal((2, *cfg.input_shape))
+    calls = {"batch_moments": 0, "batchnorm2d": 0}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(tensor, "batch_moments")
+    count(GradGraph, "batchnorm2d")
+    g = GradGraph()
+    _, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True)
+    g.backward(loss)
+    assert calls["batchnorm2d"] == 3  # the stem's and the module's two
+    assert calls["batch_moments"] == calls["batchnorm2d"]
 
 
 def test_relu_adjoint_masks_like_its_input_on_special_values():

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from llanet import demo
+from llanet import cli, demo
 from llanet.cli import main
 from llanet.config import ConfigError, DEFAULTS, echo_config, load_run_config
 from llanet.data import load_image, parse_image, read_manifest
@@ -434,3 +434,17 @@ def test_gradcheck_cli_passes(capsys):
 def test_gradcheck_cli_flags_violations(capsys):
     assert run_cli("gradcheck", "--preset", "ops", "--tolerance", "1e-12") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--eps", "-1e-5"), ("--eps", "nan"),
+                                         ("--eps", "inf"), ("--tolerance", "0"),
+                                         ("--tolerance", "-1"), ("--tolerance", "nan"),
+                                         ("--tolerance", "inf")])
+def test_gradcheck_cli_rejects_bad_eps_and_tolerance(flag, value, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    assert run_cli("gradcheck", "--preset", "ops", f"{flag}={value}") == 2
+    out, err = capsys.readouterr()
+    assert flag in err and "finite and > 0" in err and out == ""

@@ -322,6 +322,29 @@ def test_checkpoint_rejects_a_repeated_entry_and_trailing_bytes(tmp_path):
             npt.assert_array_equal(p.value, before[p.name])
 
 
+def test_checkpoint_checks_an_entry_shape_before_reading_its_data(tmp_path):
+    cfg = preset("micro")
+    store = init_network(cfg)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, store, cfg)
+    data = path.read_bytes()
+    first = next(iter(store))
+    assert first.name == "stem.conv.weight" and first.value.ndim == 4
+    header = len(data) - sum(2 + len(p.name.encode()) + 2 + 4 * p.value.ndim + 8 * p.value.size
+                             for p in store)
+    dims = header + 2 + len(first.name.encode()) + 2  # after name length, name, flags, ndim
+    # a 4 GiB read, a size that wraps to 0, and dims whose byte count wraps negative
+    for shape in ((1 << 20, 512, 1, 1), (1 << 31, 1 << 31, 4, 1), (0xFFFFFFFF,) * 4):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data[:dims] + np.asarray(shape, dtype="<u4").tobytes() + data[dims + 16:])
+        fresh = init_network(preset("micro", seed=1))
+        before = {p.name: p.value.copy() for p in fresh}
+        with pytest.raises(CheckpointError, match=r"'stem.conv.weight' has shape .*, expected"):
+            load_checkpoint(bad, fresh, cfg)
+        for p in fresh:
+            npt.assert_array_equal(p.value, before[p.name])
+
+
 def test_checkpoint_reruns_identical_bytes(tmp_path):
     cfg = preset("micro", seed=2)
     store = init_network(cfg)

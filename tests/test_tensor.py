@@ -91,15 +91,15 @@ def test_conv_spec_validation():
 
 def test_batchnorm_constant_channel_is_zeroed():
     x = np.full((3, 2, 2, 2), 7.0)
-    out = tensor.batchnorm2d(x, np.ones(2), np.zeros(2), RunningStats.fresh(2), train=True)
+    out, _, _ = tensor.batchnorm2d(x, np.ones(2), np.zeros(2), RunningStats.fresh(2), train=True)
     npt.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_batchnorm_gamma_zero_gives_beta():
     rng = np.random.default_rng(4)
     beta = np.array([1.5, -2.0])
-    out = tensor.batchnorm2d(rand(rng, 2, 2, 3, 3), np.zeros(2), beta,
-                             RunningStats.fresh(2), train=True)
+    out, _, _ = tensor.batchnorm2d(rand(rng, 2, 2, 3, 3), np.zeros(2), beta,
+                                   RunningStats.fresh(2), train=True)
     npt.assert_allclose(out, beta[None, :, None, None] * np.ones((2, 2, 3, 3)))
 
 
@@ -108,7 +108,7 @@ def test_batchnorm_train_statistics_against_oracle():
     x = rand(rng, 4, 3, 2, 2) * 3 + 1
     gamma = np.array([1.0, 2.0, 0.5])
     beta = np.array([0.0, -1.0, 3.0])
-    out = tensor.batchnorm2d(x, gamma, beta, RunningStats.fresh(3), train=True)
+    out, _, _ = tensor.batchnorm2d(x, gamma, beta, RunningStats.fresh(3), train=True)
     mu, var = oracles.channel_moments_naive(out)
     npt.assert_allclose(mu, beta, atol=1e-6)
     npt.assert_allclose(var, gamma ** 2, rtol=1e-4)  # eps shrinks variance slightly
@@ -124,7 +124,7 @@ def test_batchnorm_running_stats_update_and_eval():
     npt.assert_allclose(stats.mean, 0.1 * mu, atol=1e-12)
     npt.assert_allclose(stats.var, 0.9 * 1.0 + 0.1 * var * m / (m - 1), atol=1e-12)
     # eval mode must use the running stats, not the batch
-    y = tensor.batchnorm2d(np.zeros_like(x), np.ones(2), np.zeros(2), stats, train=False)
+    y, _, _ = tensor.batchnorm2d(np.zeros_like(x), np.ones(2), np.zeros(2), stats, train=False)
     expected = -stats.mean / np.sqrt(stats.var + 1e-5)
     npt.assert_allclose(y[0, :, 0, 0], expected, atol=1e-12)
 
@@ -361,5 +361,5 @@ def test_kernels_keep_finite_inputs_finite():
     for out in (tensor.conv2d(x, w, None, spec),
                 tensor.activation(x, "sigmoid"),
                 tensor.pool2d(x, "max", 2, 2),
-                tensor.batchnorm2d(x, np.ones(4), np.zeros(4), RunningStats.fresh(4), True)):
+                tensor.batchnorm2d(x, np.ones(4), np.zeros(4), RunningStats.fresh(4), True)[0]):
         assert np.isfinite(out).all()
