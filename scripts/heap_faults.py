@@ -10,7 +10,9 @@ Examples:
 Builds PRESET at PX x PX with random weights and a random batch of N images,
 then runs two kinds of step, each once to warm up and then S times: a
 no-record forward (``network_forward``, what evaluation runs) and a train
-step (forward with a tape, backward and ``sgd_step``). For each kind it prints
+step (``training.train_step``, the step ``train_epoch`` runs: forward with a
+tape, a backward sweep that folds each weight gradient into its momentum
+buffer as soon as it is final, then the update). For each kind it prints
 the wall, user and system seconds and the minor page faults per step, read
 from ``resource.getrusage`` around the steps, one BLAS thread. Minor faults
 per step that stay in the thousands after warm-up mean the process hands
@@ -34,7 +36,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from llanet import autodiff, network, training  # noqa: E402
+from llanet import network, training  # noqa: E402
 
 
 def per_step(step, steps: int) -> dict:
@@ -72,9 +74,7 @@ def main(argv=None) -> int:
         network.network_forward(x, store, cfg)
 
     def train_step():
-        graph = autodiff.GradGraph()
-        _, loss = network.network_loss_graph(graph, x, labels, store, cfg, train=True)
-        training.sgd_step(store, graph.backward(loss), state, train_cfg.base_lr)
+        training.train_step(store, state, x, labels, cfg, train_cfg.base_lr)
 
     print(f"{args.preset} at {args.size} px, batch {args.batch}, {args.steps} steps after "
           f"one warm-up, per step:")

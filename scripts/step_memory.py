@@ -9,8 +9,10 @@ Examples:
     (ulimit -v 7000000; python3 scripts/step_memory.py resnet18 --size 112 --batch 32)
 
 Builds PRESET at PX x PX with random weights and a random batch of N images,
-then runs one train step (forward with a tape, backward and ``sgd_step``),
-one BLAS thread, and reads the process's peak RSS from
+then runs one ``training.train_step`` (forward with a tape, then a backward
+sweep that folds each weight gradient into its momentum buffer as soon as it
+is final, then the update), the step ``train_epoch`` runs, on one BLAS
+thread, and reads the process's peak RSS from
 ``resource.getrusage`` after it; the peak covers the whole process, weights
 and batch included. Then it runs the step's forward once more under
 ``tracemalloc`` and prints the traced bytes the forward leaves alive when
@@ -65,14 +67,22 @@ def main(argv=None) -> int:
         graph = autodiff.GradGraph()
         return graph, network.network_loss_graph(graph, x, labels, store, cfg, train=True)
 
+    # the step's forward ends when its loss graph returns
+    loss_graph, forward_done = training.network_loss_graph, []
+
+    def timed_loss_graph(*a, **kw):
+        out = loss_graph(*a, **kw)
+        forward_done.append(time.perf_counter())
+        return out
+
     print(f"{args.preset} at {args.size} px, batch {args.batch}, one train step:")
     try:
+        training.network_loss_graph = timed_loss_graph
         t0 = time.perf_counter()
-        graph, (trace, loss) = forward()
-        t1 = time.perf_counter()
-        training.sgd_step(store, graph.backward(loss), state, train_cfg.base_lr)
+        training.train_step(store, state, x, labels, cfg, train_cfg.base_lr)
         t2 = time.perf_counter()
-        del graph, trace, loss
+        training.network_loss_graph = loss_graph
+        t1 = forward_done[0]
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
         tracemalloc.start()
         try:

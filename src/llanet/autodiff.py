@@ -26,11 +26,25 @@ that is not finite.
 
 ``backward`` walks the tape in reverse creation order, which is a valid
 topological order. It keeps the pending cotangents itself, keyed on
-handles, accumulating them across fan-out, frees each one as soon as its
-node's adjoint has run, and returns a plain dict from trainable-leaf name to
-gradient. It keeps a cotangent only for an input that needs a gradient, and
-the conv adjoint does not even compute the others (the weight gradient of a
-frozen gate, the input gradient of the image batch). Leaves the loss never
+handles, accumulating them across fan-out, and frees each one as soon as its
+node's adjoint has run. It keeps a cotangent only for an input that needs a
+gradient, and the conv adjoint does not even compute the others (the weight
+gradient of a frozen gate, the input gradient of the image batch). An op
+output's first cotangent is copied, since later ones are added into it in
+place; a leaf's is kept as the adjoint sent it, and a second one starts a
+fresh sum, so nothing writes into an array an adjoint may also have sent
+elsewhere.
+
+A leaf's gradient is final once the sweep has run every adjoint down to the
+tape length at which the leaf first entered the graph, since no op taped
+before that can read it. The rule needs no per-op bookkeeping; it is exact
+for the network, which enters each param right before its op. A graph made
+with a ``sink``, a callable ``(name, grad)``, has ``backward`` hand each
+trainable leaf's gradient to it at that point, in reverse order of entry,
+and keep no reference to it once the sink returns, so the whole gradient
+never exists at once (the optimizer folds each one into its momentum
+buffer). With no sink, ``backward`` returns a plain dict from trainable-leaf
+name to gradient, in the order the leaves entered. Leaves the loss never
 touched get zero gradients rather than being dropped, so optimizer code can
 iterate parameters unconditionally.
 
@@ -130,12 +144,17 @@ class GradGraph:
     """Tape of differentiable ops; build a scalar loss, then call ``backward``.
 
     ``record=False`` builds the same values with no tape, for inference.
+    ``sink(name, grad)``, when given, receives each trainable leaf's gradient
+    during ``backward`` as soon as it is final.
     """
 
-    def __init__(self, record: bool = True):
+    def __init__(self, record: bool = True, sink=None):
         self.record = record
+        self.sink = sink
         self._tape: list[Handle] = []
         self._leaves: dict[str, tuple[Param, Node]] = {}
+        # (tape length at entry, handle, param) of each trainable leaf, in entry order
+        self._entered: list[tuple[int, Handle, Param]] = []
 
     # -- graph construction -------------------------------------------------
 
@@ -157,6 +176,8 @@ class GradGraph:
             return hit[1]
         node = Node(param.value, param.name, Handle() if self.record and param.trainable else None)
         self._leaves[param.name] = (param, node)
+        if node.handle is not None:
+            self._entered.append((len(self._tape), node.handle, param))
         return node
 
     def constant(self, value) -> Node:
@@ -351,8 +372,14 @@ class GradGraph:
 
     # -- backward ------------------------------------------------------------
 
-    def backward(self, root: Node) -> dict:
-        """Reverse sweep from a scalar ``root``; returns trainable-leaf gradients."""
+    def backward(self, root: Node) -> dict | None:
+        """Reverse sweep from a scalar ``root``.
+
+        With no sink, returns the trainable-leaf gradients by name, in the
+        order the leaves entered. With a sink, hands each one to it as soon as
+        no adjoint still to run can add to it, in reverse order of entry, keeps
+        no reference to it after the sink returns, and returns None.
+        """
         if not self.record:
             raise RuntimeError("backward on a graph built with record=False")
         if np.size(root.value) != 1:
@@ -362,17 +389,42 @@ class GradGraph:
             grads[root.handle] = np.ones_like(root.value, dtype=DEFAULT_DTYPE)
 
         def send(parent: Handle | None, grad):
+            if parent is None:
+                return
             pending = grads.get(parent)
-            if pending is not None:
-                pending += grad
-            elif parent is not None:
+            if parent._backprop is None:
+                # a leaf keeps its first contribution as sent and starts a fresh
+                # sum at the second, never writing into an adjoint's own array
+                grads[parent] = (np.asarray(grad, dtype=DEFAULT_DTYPE) if pending is None
+                                 else pending + grad)
+            elif pending is None:
                 grads[parent] = np.array(grad, dtype=DEFAULT_DTYPE)
+            else:
+                pending += grad
 
-        for handle in reversed(self._tape):
+        collected = {}
+        sink = collected.__setitem__ if self.sink is None else self.sink
+        entered = self._entered
+        left = len(entered)
+
+        def complete(index):
+            # hand over every leaf entered after tape entry ``index`` was made:
+            # no adjoint at or below it can read the leaf
+            nonlocal left
+            while left and entered[left - 1][0] > index:
+                left -= 1
+                _, handle, param = entered[left]
+                sink(param.name, grads.pop(handle) if handle in grads
+                     else np.zeros_like(param.value))
+
+        tape = self._tape
+        for index in range(len(tape) - 1, -1, -1):
+            complete(index)
+            handle = tape[index]
             if handle in grads:
                 handle._backprop(grads.pop(handle), send)
-        return {name: grads[node.handle] if node.handle in grads else np.zeros_like(param.value)
-                for name, (param, node) in self._leaves.items() if param.trainable}
+        complete(-1)
+        return dict(reversed(collected.items())) if self.sink is None else None
 
 
 class _FiniteWatch(GradGraph):

@@ -432,9 +432,13 @@ def load_checkpoint(path, store: ParamStore, cfg: NetworkConfig) -> None:
             raise CheckpointError(
                 f"{path}: checkpoint has {count} parameters, store has {len(store)}")
         entries = {}
-        for _ in range(count):
+        for position in range(count):
             (nlen,) = struct.unpack("<H", read(fh, 2))
-            name = read(fh, nlen).decode()
+            try:
+                name = read(fh, nlen).decode()
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"{path}: the name of entry {position} is not UTF-8") from None
             flags, ndim = struct.unpack("<BB", read(fh, 2))
             shape = struct.unpack(f"<{ndim}I", read(fh, 4 * ndim))
             # the entry is checked against the store before its data is read,

@@ -5,6 +5,13 @@ gradient (g + wd * param) before the momentum buffer update; batch-norm
 scales/shifts and biases are decay-exempt by default. The learning rate is
 flat for ``decay_start_epoch`` epochs and then decays exponentially.
 
+A train step never holds the whole network's gradient. Its backward sweep
+hands each weight gradient over as soon as no adjoint still to run can add
+to it; the step checks it for non-finite entries, folds it into the
+param's momentum buffer and drops it. The params move only after the
+sweep, and only when the loss and every gradient were finite. ``sgd_step``
+applies the same formula to a whole gradient dict, with the same bits.
+
 Evaluation scores one image at a time: either a single center crop or the
 ten-crop ensemble (averaging softmax probabilities, arg-max tie going to the
 lowest class index).
@@ -21,7 +28,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import tensor
-from .autodiff import GradGraph, first_non_finite
+from .autodiff import GradGraph, Param, first_non_finite
 from .metrics import ConfusionMatrix, challenge_score, metrics_report, summarize
 from .network import (NetworkConfig, ParamStore, network_loss_graph,
                       network_forward, save_checkpoint)
@@ -65,8 +72,32 @@ class DivergenceError(ValueError):
     """A train step gave a loss or a gradient that is not finite."""
 
 
+# Elements per in-place SGD pass: the param, gradient, buffer and scratch
+# slices of one pass (1 MiB in float64) stay in the L2 cache. One thread, an
+# update of every resnet18 weight took 76 ms this way against 150 ms for the
+# whole-array formula with its weight-sized temporaries.
+SGD_CHUNK = 1 << 15
+
+
+def _chunks(*arrays):
+    """Matching slices of ``arrays`` (the first one's shape) along the first
+    axis, about ``SGD_CHUNK`` elements each."""
+    arrays = [np.atleast_1d(a) for a in arrays]
+    rows = max(1, SGD_CHUNK // max(1, math.prod(arrays[0].shape[1:])))
+    for start in range(0, len(arrays[0]), rows):
+        yield [a[start:start + rows] for a in arrays]
+
+
 class OptimizerState:
-    """Momentum buffers mirroring the trainable parameters, plus step/epoch counters."""
+    """Momentum buffers mirroring the trainable parameters, plus step/epoch counters.
+
+    The SGD formula comes in two halves, each run per param in ``SGD_CHUNK``
+    slices with its temporaries in one scratch buffer, so no temporary is as
+    large as a weight: ``absorb`` folds a gradient into the param's buffer,
+    ``apply`` moves the param by it. Every element goes through the same
+    operations as in the whole-array formula, so the results are
+    bit-identical to it.
+    """
 
     def __init__(self, store: ParamStore, cfg: TrainConfig):
         self.momentum = cfg.momentum
@@ -75,48 +106,54 @@ class OptimizerState:
         self.buffers = {p.name: np.zeros_like(p.value) for p in store.trainable()}
         self.step_count = 0
         self.epoch = 0
+        self._scratch = np.empty(SGD_CHUNK, dtype=tensor.DEFAULT_DTYPE)
+
+    def _tmp(self, like: np.ndarray) -> np.ndarray:
+        if self._scratch.size < like.size:  # one row larger than a chunk
+            self._scratch = np.empty(like.size, dtype=tensor.DEFAULT_DTYPE)
+        return self._scratch[:like.size].reshape(like.shape)
+
+    def absorb(self, p: Param, grad: np.ndarray) -> None:
+        """g = grad + wd*param; buf = momentum*buf + g (in place; the param stays)."""
+        if grad.shape != p.value.shape:
+            raise ValueError(f"gradient shape {grad.shape} != parameter shape {p.value.shape} "
+                             f"for {p.name!r}")
+        decay = self.weight_decay if not (self.exempt_flagged and p.decay_exempt) else 0.0
+        for v, b, g in _chunks(p.value, self.buffers[p.name], grad):
+            if decay:
+                tmp = self._tmp(v)
+                np.multiply(v, decay, out=tmp)
+                tmp += g
+                g = tmp
+            b *= self.momentum
+            b += g
+
+    def apply(self, p: Param, lr: float) -> None:
+        """param -= lr*buf (in place)."""
+        for v, b in _chunks(p.value, self.buffers[p.name]):
+            tmp = self._tmp(v)
+            np.multiply(b, lr, out=tmp)
+            v -= tmp
 
 
-# Elements per in-place SGD pass: the param, gradient, buffer and scratch
-# slices of one pass (1 MiB in float64) stay in the L2 cache. One thread, an
-# update of every resnet18 weight took 76 ms this way against 150 ms for the
-# whole-array formula with its weight-sized temporaries.
-SGD_CHUNK = 1 << 15
+def _missing(p: Param) -> ValueError:
+    return ValueError(f"gradient missing for trainable parameter {p.name!r}")
 
 
 def sgd_step(store: ParamStore, grads: dict, state: OptimizerState, lr: float) -> None:
     """g = grad + wd*param; buf = momentum*buf + g; param -= lr*buf (in place).
 
-    Each param is updated in slices along its first axis of about
-    ``SGD_CHUNK`` elements, with ``g`` and ``lr*buf`` formed in one scratch
-    buffer, so a step makes no temporary as large as a weight. Every element
-    goes through the same operations as in the whole-array formula, so the
-    results are bit-identical to it.
+    Absorbs every gradient into its momentum buffer, then applies every
+    buffer to its param (``OptimizerState.absorb`` and ``apply``).
     """
-    scratch = np.empty(SGD_CHUNK, dtype=tensor.DEFAULT_DTYPE)
-    for p in store.trainable():
+    params = store.trainable()
+    for p in params:
         if p.name not in grads:
-            raise ValueError(f"gradient missing for trainable parameter {p.name!r}")
-        g = grads[p.name]
-        if g.shape != p.value.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.value.shape} "
-                             f"for {p.name!r}")
-        decay = state.weight_decay if not (state.exempt_flagged and p.decay_exempt) else 0.0
-        value, buf, g = (np.atleast_1d(a) for a in (p.value, state.buffers[p.name], g))
-        rows = max(1, SGD_CHUNK // max(1, math.prod(value.shape[1:])))
-        for start in range(0, len(value), rows):
-            v, b, gs = value[start:start + rows], buf[start:start + rows], g[start:start + rows]
-            if scratch.size < v.size:
-                scratch = np.empty(v.size, dtype=tensor.DEFAULT_DTYPE)
-            tmp = scratch[:v.size].reshape(v.shape)
-            if decay:
-                np.multiply(v, decay, out=tmp)
-                tmp += gs
-                gs = tmp
-            b *= state.momentum
-            b += gs
-            np.multiply(b, lr, out=tmp)
-            v -= tmp
+            raise _missing(p)
+    for p in params:
+        state.absorb(p, grads[p.name])
+    for p in params:
+        state.apply(p, lr)
     state.step_count += 1
 
 
@@ -177,14 +214,63 @@ class EpochStats:
     accuracy: float
 
 
+def train_step(store: ParamStore, state: OptimizerState, x: np.ndarray, labels,
+               net_cfg: NetworkConfig, lr: float) -> tuple[float, np.ndarray]:
+    """One momentum-SGD step on the batch ``x``; returns the loss and the
+    predicted class of each image.
+
+    The forward runs in train mode. The backward sweep hands each weight
+    gradient over as soon as it is final: it is scanned for non-finite
+    entries and folded into its momentum buffer (``OptimizerState.absorb``),
+    then dropped, so the step never holds the whole network's gradient.
+    Only after the sweep, and only when the loss and every gradient are
+    finite, does every param move (``OptimizerState.apply``).
+
+    Raises ``DivergenceError`` when the loss or a gradient is not finite,
+    before any param moves and with ``step_count`` unchanged; the momentum
+    buffers have already absorbed that step's gradients and are not restored.
+    Raises ``ValueError`` when a trainable param got no gradient.
+    """
+    params = {p.name: p for p in store.trainable()}
+    bad = None
+
+    def absorb(name, grad):
+        nonlocal bad
+        if not _all_finite(grad):
+            bad = name  # gradients arrive in reverse leaf order: the last bad one is the first
+        p = params.pop(name, None)
+        if p is not None:
+            state.absorb(p, grad)
+
+    graph = GradGraph(sink=absorb)
+    trace, loss = network_loss_graph(graph, x, labels, store, net_cfg, train=True)
+    graph.backward(loss)
+    loss, predicted = float(loss.value), np.argmax(trace.logits.value, axis=1)
+    del graph, trace  # free this step's tape before a rebuild or the next forward
+    if bad is not None or not math.isfinite(loss):
+        first = first_non_finite(lambda g: network_loss_graph(
+            g, x, labels, store, net_cfg, train=True, update_running=False)[1])
+        if first is None:
+            where = f"the gradient of {bad!r}"
+        else:
+            where = f"tape op {first[0]!r}" + (f" ({first[1]})" if first[1] else "")
+        raise DivergenceError(f"the loss or a gradient is not finite, first at {where}")
+    if params:
+        raise _missing(next(iter(params.values())))
+    for p in store.trainable():
+        state.apply(p, lr)
+    state.step_count += 1
+    return loss, predicted
+
+
 def train_epoch(store: ParamStore, state: OptimizerState, dataset: LoadedDataset,
                 net_cfg: NetworkConfig, train_cfg: TrainConfig, norm: Normalization,
                 augment: AugmentConfig | None, rng: np.random.Generator,
                 epoch: int) -> EpochStats:
-    """One shuffled pass: forward (train mode) -> backward -> SGD step per batch.
+    """One shuffled pass: a ``train_step`` per batch.
 
-    Raises ``DivergenceError``, before the step's SGD update, when the loss or
-    a gradient is not finite.
+    Raises ``DivergenceError`` naming the epoch and batch when a step's loss
+    or gradient is not finite, before that step moves any param.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -200,27 +286,15 @@ def train_epoch(store: ParamStore, state: OptimizerState, dataset: LoadedDataset
             if augment is not None and augment.enabled:
                 img = data_mod.augment_train(img, img.height, augment.pad, rng)
             imgs.append(img)
-        x = _batch_tensor(imgs, norm)
         labels = dataset.labels[idx]
-        graph = GradGraph()
-        trace, loss = network_loss_graph(graph, x, labels, store, net_cfg, train=True)
-        grads = graph.backward(loss)
-        bad = [name for name, g in grads.items() if not _all_finite(g)]
-        if bad or not np.isfinite(loss.value):
-            del graph, trace, grads  # free this step's tape before the rebuild
-            first = first_non_finite(lambda g: network_loss_graph(
-                g, x, labels, store, net_cfg, train=True, update_running=False)[1])
-            if first is None:
-                where = f"the gradient of {bad[0]!r}"
-            else:
-                where = f"tape op {first[0]!r}" + (f" ({first[1]})" if first[1] else "")
-            raise DivergenceError(f"training diverged at epoch {epoch}, batch {batch}: the loss "
-                                  f"or a gradient is not finite, first at {where}")
-        sgd_step(store, grads, state, lr)
-        loss_sum += float(loss.value) * len(idx)
-        correct += int((np.argmax(trace.logits.value, axis=1) == labels).sum())
-        # Free this step's tape before the next forward builds its own.
-        del graph, trace, loss, grads
+        x = _batch_tensor(imgs, norm)
+        try:
+            loss, predicted = train_step(store, state, x, labels, net_cfg, lr)
+        except DivergenceError as e:
+            raise DivergenceError(
+                f"training diverged at epoch {epoch}, batch {batch}: {e}") from None
+        loss_sum += loss * len(idx)
+        correct += int((predicted == labels).sum())
     state.epoch = epoch + 1
     return EpochStats(epoch=epoch, lr=lr, loss=loss_sum / len(dataset),
                       accuracy=correct / len(dataset))

@@ -109,6 +109,48 @@ def test_frozen_leaves_are_not_reported():
     assert "frozen" not in grads and "live" in grads
 
 
+def test_the_sink_gets_each_leaf_gradient_once_as_soon_as_it_is_final():
+    rng = np.random.default_rng(4)
+    early, w, a, b, lonely = (Param(name, rng.standard_normal((1, 2, 3, 3)))
+                              for name in ("early", "w", "a", "b", "lonely"))
+    probe = rng.standard_normal((1, 2, 3, 3))
+
+    def build(g):
+        e = g.leaf(early)                        # entered before an op that does not read it
+        x = g.leaf(w)
+        h = g.hadamard(g.relu(x), x)             # w is read by two ops
+        la, lb = g.leaf(a), g.leaf(b)
+        ha = g.hadamard(la, g.constant(probe))   # a's second contribution, swept last
+        s = g.add(g.add(h, g.add(la, lb)), e)    # a and b get the same first cotangent
+        s = g.add(s, ha)
+        g.leaf(lonely)
+        return g.weighted_sum(s, probe)
+
+    ref = GradGraph()
+    want = ref.backward(build(ref))
+    events = []
+    g = GradGraph(sink=lambda name, grad: events.append((name, grad)))
+    loss = build(g)
+    for handle in g._tape:
+        def logged(dy, send, backprop=handle._backprop, label=handle.label):
+            events.append((label, None))
+            backprop(dy, send)
+        handle._backprop = logged
+    assert g.backward(loss) is None
+    assert [e for e, grad in events] == [
+        "weighted_sum", "lonely", "add", "add", "add", "add", "hadamard", "b", "a",
+        "hadamard", "relu", "w", "early"]
+    got = {name: grad for name, grad in events if grad is not None}
+    assert list(want) == ["early", "w", "a", "b", "lonely"]
+    for name, grad in want.items():
+        assert got[name].tobytes() == grad.tobytes(), name
+    npt.assert_array_equal(want["lonely"], 0.0)
+    npt.assert_array_equal(want["b"], probe)
+    npt.assert_array_equal(want["a"], probe + probe * probe)
+    npt.assert_array_equal(want["early"], probe)
+    npt.assert_allclose(want["w"], probe * (w.value > 0) * w.value + probe * np.maximum(w.value, 0))
+
+
 def test_same_name_different_params_rejected():
     g = GradGraph()
     g.leaf(Param("x", np.ones(2)))

@@ -374,6 +374,18 @@ def test_eval_cli_wrong_checkpoint_architecture(cli_root, trained_run, tmp_path)
     assert rc == 1
 
 
+def test_eval_cli_names_a_checkpoint_entry_name_that_is_not_utf8(trained_run, tmp_path, capsys):
+    data = bytearray((trained_run / "best.ckpt").read_bytes())
+    at = data.index(b"stem.conv.weight")  # the first entry's name
+    data[at] = 0xFF
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    rc = run_cli("eval", "--config", trained_run / "config.json",
+                 "--checkpoint", bad, "--out", tmp_path / "o")
+    assert rc == 1
+    assert f"{bad}: the name of entry 0 is not UTF-8" in capsys.readouterr().err
+
+
 def test_dump_attention_cli(cli_root, trained_run, tmp_path):
     image = read_manifest(cli_root / "train.csv").records[0].image_path
     out = tmp_path / "masks"

@@ -345,6 +345,26 @@ def test_checkpoint_checks_an_entry_shape_before_reading_its_data(tmp_path):
             npt.assert_array_equal(p.value, before[p.name])
 
 
+def test_checkpoint_names_an_entry_name_that_is_not_utf8(tmp_path):
+    cfg = preset("micro")
+    store = init_network(cfg)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, store, cfg)
+    data = bytearray(path.read_bytes())
+    header = len(data) - sum(2 + len(p.name.encode()) + 2 + 4 * p.value.ndim + 8 * p.value.size
+                             for p in store)
+    assert data[header + 2:header + 4] == b"st"  # the first byte of "stem.conv.weight"
+    data[header + 2] = 0xFF
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    fresh = init_network(preset("micro", seed=1))
+    before = {p.name: p.value.copy() for p in fresh}
+    with pytest.raises(CheckpointError, match=r"bad\.ckpt: the name of entry 0 is not UTF-8$"):
+        load_checkpoint(bad, fresh, cfg)
+    for p in fresh:
+        npt.assert_array_equal(p.value, before[p.name])
+
+
 def test_checkpoint_reruns_identical_bytes(tmp_path):
     cfg = preset("micro", seed=2)
     store = init_network(cfg)

@@ -378,22 +378,113 @@ def test_finite_check_scans_a_large_gradient_without_a_gradient_sized_temporary(
 def test_divergence_names_the_first_non_finite_gradient(monkeypatch):
     cfg = preset("micro", seed=0)
     store = init_network(cfg)
-    backward = training.GradGraph.backward
+    before = {p.name: p.value.copy() for p in store.trainable()}
+    planted = {}
 
-    def planted(graph, root):
-        grads = backward(graph, root)
-        names = list(grads)
-        grads[names[1]][...] = -np.inf
-        grads[names[3]][...] = np.nan
-        planted.first = names[1]
-        return grads
+    class Planted(training.GradGraph):
+        """Plants -inf and NaN in the second and fourth gradient, in leaf
+        order, on their way to the sink."""
 
-    monkeypatch.setattr(training.GradGraph, "backward", planted)
+        def __init__(self, *args, sink=None, **kwargs):
+            def planting(name, grad):
+                names = [n for n, (p, _) in self._leaves.items() if p.trainable]
+                planted["first"] = names[1]
+                fill = {names[1]: -np.inf, names[3]: np.nan}.get(name)
+                sink(name, grad if fill is None else np.full_like(grad, fill))
+
+            super().__init__(*args, sink=planting, **kwargs)
+
+    monkeypatch.setattr(training, "GradGraph", Planted)
     tc = TrainConfig(batch_size=2)
+    state = OptimizerState(store, tc)
     with pytest.raises(DivergenceError) as e:
-        train_epoch(store, OptimizerState(store, tc), micro_dataset(), cfg, tc, NORM, None,
+        train_epoch(store, state, micro_dataset(), cfg, tc, NORM, None,
                     np.random.default_rng(0), epoch=0)
-    assert str(e.value).endswith(f"first at the gradient of {planted.first!r}")
+    assert str(e.value).endswith(f"first at the gradient of {planted['first']!r}")
+    assert state.step_count == 0
+    for p in store.trainable():
+        npt.assert_array_equal(p.value, before[p.name])
+
+
+# -- the step streams each gradient into its momentum buffer -----------------------
+
+
+def micro_batch(cfg, n=2, seed=21):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, *cfg.input_shape)), rng.integers(0, cfg.num_classes, n)
+
+
+def test_each_gradient_is_dropped_before_the_sweep_goes_on(monkeypatch):
+    cfg = preset("micro", seed=0)
+    store = init_network(cfg)
+    handed = []  # (name, weak reference to the gradient) in the order the sink got them
+    live = []    # at each adjoint and each sink call: whether the last gradient handed is alive
+
+    def last_alive():
+        live.append(bool(handed) and handed[-1][1]() is not None)
+
+    class Watched(training.GradGraph):
+        def __init__(self, *args, sink=None, **kwargs):
+            def watching(name, grad):
+                last_alive()
+                handed.append((name, weakref.ref(grad)))
+                sink(name, grad)
+
+            super().__init__(*args, sink=watching, **kwargs)
+
+        def backward(self, root):
+            for handle in self._tape:
+                def watched(dy, send, backprop=handle._backprop):
+                    last_alive()
+                    backprop(dy, send)
+                handle._backprop = watched
+            return super().backward(root)
+
+    monkeypatch.setattr(training, "GradGraph", Watched)
+    tc = TrainConfig(batch_size=2)
+    gc.disable()  # only reference counting may free a gradient
+    try:
+        training.train_step(store, OptimizerState(store, tc), *micro_batch(cfg), cfg, 0.1)
+    finally:
+        gc.enable()
+    assert sorted(name for name, _ in handed) == sorted(p.name for p in store.trainable())
+    assert len(live) > len(handed) and not any(live)
+    assert handed[-1][1]() is None
+
+
+@pytest.mark.parametrize("attention", ["learned", "frozen", "off"])
+def test_a_streamed_step_is_bit_identical_to_sgd_step_on_the_gradient_dict(attention):
+    cfg = preset("micro", seed=3, attention=attention)
+    streamed, whole = init_network(cfg), init_network(cfg)
+    tc = TrainConfig(momentum=0.9, weight_decay=5e-4)
+    s_state, w_state = OptimizerState(streamed, tc), OptimizerState(whole, tc)
+    for step in range(3):
+        x, labels = micro_batch(cfg, seed=step)
+        loss, predicted = training.train_step(streamed, s_state, x, labels, cfg, 0.1)
+        graph = training.GradGraph()
+        trace, want = training.network_loss_graph(graph, x, labels, whole, cfg, train=True)
+        sgd_step(whole, graph.backward(want), w_state, 0.1)
+        assert np.float64(loss).tobytes() == np.float64(want.value).tobytes()
+        npt.assert_array_equal(predicted, np.argmax(trace.logits.value, axis=1))
+    assert s_state.step_count == w_state.step_count == 3
+    for p in streamed:
+        assert p.value.tobytes() == whole[p.name].value.tobytes(), p.name
+    assert s_state.buffers.keys() == w_state.buffers.keys()
+    for name, buf in s_state.buffers.items():
+        assert buf.tobytes() == w_state.buffers[name].tobytes(), name
+
+
+def test_a_step_rejects_a_trainable_param_the_graph_never_entered():
+    cfg = preset("micro", seed=0)
+    store = init_network(cfg)
+    store.add(Param("stray", np.ones(3)))
+    before = {p.name: p.value.copy() for p in store.trainable()}
+    state = OptimizerState(store, TrainConfig())
+    with pytest.raises(ValueError, match="gradient missing for trainable parameter 'stray'"):
+        training.train_step(store, state, *micro_batch(cfg), cfg, 0.1)
+    assert state.step_count == 0
+    for p in store.trainable():
+        npt.assert_array_equal(p.value, before[p.name])
 
 
 # -- evaluation --------------------------------------------------------------------
