@@ -62,7 +62,18 @@ refers to the graph, so a tape holds no reference cycle and is freed by
 reference counting as soon as its last reference goes.
 
 ``grad_check`` verifies any loss-building function against central
-differences, re-evaluating the loss on graphs that record nothing; a
+differences. Besides the taped forward for the gradients, it builds the
+unperturbed forward once on a graph with no tape and keeps each op's output
+by its position in the op sequence: one forward's op outputs, held for the
+duration of one ``grad_check`` call. Each +/- eps re-evaluation then runs on
+a tape-free replay graph in which the nudged param's leaf carries a marker
+handle. An op runs again only when one of its inputs carries the marker or a
+raw array argument may share memory with the param, and its output then
+carries the marker too; every other op returns its kept output, which its
+kernel would compute again bit for bit from the same inputs. So a nudge of
+the head's weight re-runs the head and the loss, not the stem, and the
+report is the one fresh graphs would give. A re-evaluation whose op sequence
+differs from the unperturbed one raises rather than reuse a stale value. A
 gradient or difference that is not finite counts as an infinite error, so
 it can never pass a tolerance.
 """
@@ -482,39 +493,149 @@ class GradCheckReport:
     checked: int = 0
 
 
+# The op methods of GradGraph, each of which a replay re-runs or reuses by
+# position. An op left out is still right on a replay, just never reused.
+_OPS = ("conv2d", "batchnorm2d", "relu", "sigmoid", "concat_channels", "hadamard", "add",
+        "maxpool", "global_avg_pool", "flatten", "linear", "softmax_cross_entropy",
+        "weighted_sum")
+
+
+class _Replay(GradGraph):
+    """A graph with no tape that re-evaluates a forward after one param moved.
+
+    ``outputs`` holds the unperturbed forward's op outputs by position, as
+    ``(op name, label, value)``. With ``nudged`` None the graph runs every op
+    and appends its output there. Otherwise the leaf of ``nudged``, and any
+    leaf or constant sharing memory with it, carries a marker handle, and an
+    op runs again only when an input carries the marker or a raw array
+    argument may share memory with ``nudged``. The op itself is
+    ``GradGraph``'s, looked up at call time, and its output carries the
+    marker. Any other op returns the output kept at its position. Each
+    position must call the op kept there, and an op that runs again must give
+    an output of the kept shape, or ``RuntimeError`` names the position.
+    """
+
+    def __init__(self, outputs: list, nudged: Param | None = None):
+        super().__init__(record=False)
+        self._outputs = outputs
+        self._nudged = nudged
+        self._marker = Handle()
+        self._at = 0
+
+    def _record(self, value, backprop, label, *inputs) -> Node:
+        # only an op that runs gets here, and on a replay that is one the nudge reaches
+        return Node(value, label, self._marker)
+
+    def _mark(self, node: Node) -> Node:
+        if self._nudged is not None and np.may_share_memory(node.value, self._nudged.value):
+            node.handle = self._marker
+        return node
+
+    def leaf(self, param: Param) -> Node:
+        return self._mark(super().leaf(param))
+
+    def constant(self, value) -> Node:
+        return self._mark(super().constant(value))
+
+    def _reads_nudged(self, args) -> bool:
+        for x in args:
+            if isinstance(x, Node):
+                if x.handle is not None:
+                    return True
+            elif isinstance(x, tuple):
+                if self._reads_nudged(x):
+                    return True
+            elif isinstance(x, np.ndarray) and np.may_share_memory(x, self._nudged.value):
+                return True
+        return False
+
+    def _op(self, name, args, kwargs) -> Node:
+        at, outputs = self._at, self._outputs
+        self._at = at + 1
+        if self._nudged is None:
+            node = getattr(GradGraph, name)(self, *args, **kwargs)
+            outputs.append((name, node.label, node.value))
+            return node
+        kept = outputs[at] if at < len(outputs) else ("nothing",)
+        if kept[0] != name:
+            raise RuntimeError(f"re-evaluation op {at} is {name}, but the unperturbed "
+                               f"forward's op {at} is {kept[0]}")
+        _, label, value = kept
+        if not (self._reads_nudged(args) or self._reads_nudged(kwargs.values())):
+            return Node(value, label)
+        node = getattr(GradGraph, name)(self, *args, **kwargs)
+        if np.shape(node.value) != np.shape(value):
+            raise RuntimeError(f"re-evaluation op {at} ({name}) has shape {np.shape(node.value)}, "
+                               f"the unperturbed forward's op {at} {np.shape(value)}")
+        return node
+
+
+def _replayed(name):
+    def op(self, *args, **kwargs):
+        return self._op(name, args, kwargs)
+
+    op.__name__ = op.__qualname__ = name
+    return op
+
+
+for _name in _OPS:
+    setattr(_Replay, _name, _replayed(_name))
+
+
+def _nudged_loss(make_loss, outputs: list, param: Param) -> float:
+    """The loss re-evaluated on a replay after ``param`` moved in place."""
+    graph = _Replay(outputs, param)
+    loss = make_loss(graph)
+    if graph._at != len(outputs):
+        raise RuntimeError(f"re-evaluation ended after op {graph._at}, but the "
+                           f"unperturbed forward ran {len(outputs)} ops")
+    return float(loss.value)
+
+
 def grad_check(make_loss, params, eps: float = 1e-5, max_entries: int | None = None,
                select=None, rng=None) -> GradCheckReport:
     """Compare tape gradients with central differences.
 
     ``make_loss(graph)`` builds the loss on ``graph`` from the params'
     *current* values and returns the loss node. It runs once on a recording
-    graph for the tape gradients, then on a graph with ``record=False`` for
-    each entry nudged by +/- ``eps``. ``select`` optionally maps a param name
-    to a boolean mask of entries eligible for checking (e.g. to stay away from
-    ReLU kinks); ``max_entries`` caps the per-param count by random
-    subsampling.
+    graph for the tape gradients, once on a tape-free graph that keeps each
+    op's output by position, then once for each entry nudged in place by
+    +/- ``eps`` on a tape-free replay that runs again only the ops the nudge
+    reaches. So it must build the same op sequence each time, or a
+    re-evaluation raises ``RuntimeError``, and read a param only through
+    ``graph.leaf`` or by passing the param's own array to ``graph.constant``
+    or to an op: a copy made from it goes unnoticed. The kept outputs cost
+    one forward's memory for the duration of the call. ``select`` optionally
+    maps a param name to a boolean mask of entries eligible for checking
+    (e.g. to stay away from ReLU kinks); ``max_entries`` caps the per-param
+    count by random subsampling.
     """
     graph = GradGraph()
     analytic = graph.backward(make_loss(graph))
+    outputs = []
+    make_loss(_Replay(outputs))
     rng = np.random.default_rng(0) if rng is None else rng
     report = GradCheckReport()
     for param in params:
         if not param.trainable:
             continue
         grad = analytic[param.name].reshape(-1)
-        flat = param.value.reshape(-1)
-        indices = np.arange(flat.size)
+        value = param.value
+        indices = np.arange(value.size)
         if select is not None and param.name in select:
             indices = indices[np.asarray(select[param.name]).reshape(-1)]
         if max_entries is not None and indices.size > max_entries:
             indices = rng.choice(indices, size=max_entries, replace=False)
         for idx in indices:
-            saved = flat[idx]
-            flat[idx] = saved + eps
-            up = float(make_loss(GradGraph(record=False)).value)
-            flat[idx] = saved - eps
-            down = float(make_loss(GradGraph(record=False)).value)
-            flat[idx] = saved
+            at = np.unravel_index(idx, value.shape)  # in place, whatever the strides
+            saved = value[at]
+            try:
+                value[at] = saved + eps
+                up = _nudged_loss(make_loss, outputs, param)
+                value[at] = saved - eps
+                down = _nudged_loss(make_loss, outputs, param)
+            finally:
+                value[at] = saved
             numeric = (up - down) / (2.0 * eps)
             err = relative_error(float(grad[idx]), numeric)
             report.checked += 1

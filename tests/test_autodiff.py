@@ -240,6 +240,146 @@ def test_grad_check_fails_on_non_finite_gradient():
     assert report.max_error == math.inf
 
 
+def plain_grad_check(make_loss, params, eps=1e-5, max_entries=None, rng=None):
+    """Central differences with every re-evaluation on a fresh ``GradGraph(record=False)``."""
+    g = GradGraph()
+    analytic = g.backward(make_loss(g))
+    rng = np.random.default_rng(0) if rng is None else rng
+    report = autodiff.GradCheckReport()
+    for param in params:
+        if not param.trainable:
+            continue
+        grad = analytic[param.name].reshape(-1)
+        indices = np.arange(param.value.size)
+        if max_entries is not None and indices.size > max_entries:
+            indices = rng.choice(indices, size=max_entries, replace=False)
+        for idx in indices:
+            at = np.unravel_index(idx, param.value.shape)
+            saved = param.value[at]
+            param.value[at] = saved + eps
+            up = float(make_loss(GradGraph(record=False)).value)
+            param.value[at] = saved - eps
+            down = float(make_loss(GradGraph(record=False)).value)
+            param.value[at] = saved
+            report.checked += 1
+            report.max_error = max(report.max_error,
+                                   relative_error(float(grad[idx]), (up - down) / (2.0 * eps)))
+    return report
+
+
+def micro_loss(seed):
+    cfg = network.preset("micro")
+    store = network.init_network(cfg)
+    x = np.random.default_rng(seed).standard_normal((2, *cfg.input_shape))
+
+    def make_loss(g):
+        return network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
+                                          update_running=False)[1]
+
+    return make_loss, store
+
+
+def raw_array_loss(seed):
+    # w reaches the loss as a leaf, as a constant over its own array, as
+    # weighted_sum's weights and through v, a param over a view of it; a
+    # replay that missed any of the last three would reuse a stale value. The
+    # tape sees only the leaves, so w's and v's numeric gradients exceed their
+    # tape ones; with a, the probe and so every path's slope positive, their
+    # relative errors stay below 1 and move with each path.
+    rng = np.random.default_rng(seed)
+    a = Param("a", 0.5 + rng.random((1, 2, 3, 3)))
+    w = Param("w", rng.standard_normal((1, 2, 3, 3)))
+    v = Param("v", w.value[:, :1])
+    probe = 0.5 + rng.random((1, 2, 3, 3))
+
+    def make_loss(g):
+        la = g.leaf(a)
+        through_constant = g.weighted_sum(g.hadamard(la, g.constant(w.value)), probe)
+        as_weights = g.weighted_sum(g.sigmoid(la), w.value)
+        leaves = g.add(g.weighted_sum(g.leaf(w), probe),
+                       g.weighted_sum(g.leaf(v), probe[:, :1]))
+        return g.add(g.add(through_constant, as_weights), leaves)
+
+    return make_loss, [a, w, v]
+
+
+@pytest.mark.parametrize("case", ["micro", "raw_arrays"])
+def test_grad_check_matches_fresh_graphs_bit_for_bit(case):
+    if case == "micro":
+        make_loss, store = micro_loss(24)
+        params, max_entries = store.trainable(), 3
+    else:
+        (make_loss, params), max_entries = raw_array_loss(25), None
+    want = plain_grad_check(make_loss, params, max_entries=max_entries,
+                            rng=np.random.default_rng(26))
+    got = grad_check(make_loss, params, max_entries=max_entries, rng=np.random.default_rng(26))
+    assert got.checked > 0 and got == want
+
+
+def spy_ops(monkeypatch):
+    """Log ``(graph, op name)`` for every ``GradGraph`` op that runs."""
+    ran = []
+    for name in autodiff._OPS:
+        op = getattr(GradGraph, name)
+        monkeypatch.setattr(GradGraph, name, lambda g, *args, name=name, op=op, **kwargs:
+                            ran.append((g, name)) or op(g, *args, **kwargs))
+    return ran
+
+
+def test_grad_check_reruns_only_the_ops_a_nudge_reaches(monkeypatch):
+    make_loss, store = micro_loss(27)
+    ran = spy_ops(monkeypatch)
+
+    def ops_per_graph(name):
+        ran.clear()
+        report = grad_check(make_loss, [store[name]], max_entries=1)
+        assert report.checked == 1 and report.max_error < 1e-4
+        graphs = list(dict.fromkeys(g for g, _ in ran))  # in the order they ran an op
+        return [[op for g, op in ran if g is graph] for graph in graphs]
+
+    # the taped graph, the replay that keeps the outputs, then two re-evaluations
+    taped, kept, *nudged = ops_per_graph("head.weight")
+    assert taped == kept and taped[0] == "conv2d" and len(taped) > 10
+    assert nudged == [["linear", "softmax_cross_entropy"]] * 2
+    assert ops_per_graph("stem.conv.weight") == [taped] * 4
+
+
+@pytest.mark.parametrize("change", ["inserted", "trailing", "reshaped"])
+def test_grad_check_rejects_a_loss_that_changes_its_ops(change):
+    value = np.random.default_rng(28).standard_normal((1, 2, 3, 3))
+    x = Param("x", value.copy())
+    built = []
+
+    def make_loss(g):
+        built.append(g)
+        y = g.leaf(x)
+        if len(built) > 2 and change == "inserted":
+            y = g.relu(y)
+        if len(built) > 2 and change == "reshaped":
+            y = g.constant(x.value[:, :1])  # a view of x, so the sigmoid runs again
+        loss = ones_probe(g, g.sigmoid(y))
+        if len(built) == 2 and change == "trailing":
+            g.relu(y)  # only the unperturbed forward runs a third op
+        return loss
+
+    match = {"inserted": "op 0 is relu", "trailing": "ended after op 2",
+             "reshaped": r"op 0 \(sigmoid\) has shape \(1, 1, 3, 3\)"}[change]
+    with pytest.raises(RuntimeError, match=match):
+        grad_check(make_loss, [x])
+    assert x.value.tobytes() == value.tobytes()  # the nudged entry is put back
+
+
+def test_grad_check_nudges_a_transposed_param_in_place():
+    a = np.random.default_rng(29).standard_normal((3, 4))
+    before = a.copy()
+    x = Param("x", a.T)
+    assert x.value.base is a and not x.value.flags.c_contiguous
+    probe = np.random.default_rng(30).standard_normal((4, 3))
+    report = grad_check(lambda g: g.weighted_sum(g.hadamard(g.leaf(x), g.leaf(x)), probe), [x])
+    assert report.checked == 12 and report.max_error < 1e-8
+    assert x.value.base is a and a.tobytes() == before.tobytes()
+
+
 def test_kernel_suite_checks_every_entry_it_draws():
     # a check that silently drops a param (or a mask that admits too few
     # entries) shows up here as a smaller count
@@ -572,16 +712,16 @@ def test_backward_frees_each_cotangent_once_used():
     assert (peak - before) / 2 ** 20 < 10
 
 
-def spy_graphs(monkeypatch, module):
-    """Log every ``GradGraph`` that ``module`` creates."""
+def spy_graphs(monkeypatch, module, name="GradGraph"):
+    """Log every graph that ``module`` creates through its class ``name``."""
     made = []
 
-    class Spy(GradGraph):
+    class Spy(getattr(module, name)):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    monkeypatch.setattr(module, "GradGraph", Spy)
+    monkeypatch.setattr(module, name, Spy)
     return made
 
 
@@ -609,10 +749,20 @@ def test_inference_records_no_tape(monkeypatch):
 
 def test_grad_check_reevaluates_without_a_tape(monkeypatch):
     x = Param("x", np.random.default_rng(13).standard_normal((1, 2, 3, 3)))
-    made = spy_graphs(monkeypatch, autodiff)
+    taped = spy_graphs(monkeypatch, autodiff)
+    replays = spy_graphs(monkeypatch, autodiff, "_Replay")
     report = grad_check(lambda g: ones_probe(g, g.relu(g.leaf(x))), [x])
-    assert report.checked == 18 and len(made) == 1 + 2 * 18
-    assert made[0].record and all(not g.record and g._tape == [] for g in made[1:])
+    # one taped graph for the gradients; one replay keeps the unperturbed
+    # outputs, and each entry is re-evaluated on two more
+    assert report.checked == 18 and len(taped) == 1 and taped[0].record
+    assert len(replays) == 1 + 2 * 18
+    assert all(not g.record and g._tape == [] for g in replays)
+
+
+def test_the_replay_covers_every_op_of_the_graph():
+    ops = {name for name, fn in vars(GradGraph).items()
+           if callable(fn) and not name.startswith("_")} - {"leaf", "constant", "backward"}
+    assert ops == set(autodiff._OPS)
 
 
 def log_sends(graph):
