@@ -619,6 +619,9 @@ def grad_check(make_loss, params, eps: float = 1e-5, max_entries: int | None = N
     for param in params:
         if not param.trainable:
             continue
+        if param.name not in analytic:
+            raise ValueError(f"param {param.name!r} is trainable but make_loss never "
+                             f"enters it through graph.leaf, so it has no tape gradient")
         grad = analytic[param.name].reshape(-1)
         value = param.value
         indices = np.arange(value.size)

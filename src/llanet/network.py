@@ -11,6 +11,12 @@ current block output. Inside a stage the shapes already agree; at stage
 boundaries (stride 2 and/or channel growth) a learned 1x1 strided
 projection aligns it, mirroring the residual shortcut projection.
 
+Which convolutions the network has is written once, as data: the stem
+layer and each module's layer list from :func:`module_plan`, each layer a
+parameter prefix, a kind and its ``ConvSpec``. ``init_network`` creates
+parameters by walking those layers, and the forward reads its specs from
+them; the wiring between layers (residual add, ReLUs, the gate) is code.
+
 Parameters live in a ``ParamStore``: a flat, insertion-ordered namespace of
 uniquely named leaves. Batch-norm running statistics are stored as
 non-trainable entries in the same namespace so checkpoints capture them.
@@ -29,7 +35,7 @@ from .attention import AttentionParams, attention_conv_spec, attention_forward_g
     init_attention, kaiming_uniform
 from .autodiff import GradGraph, Node, Param
 from .data import atomic_open
-from .tensor import ConvSpec, DEFAULT_DTYPE, RunningStats
+from .tensor import ConvSpec, DEFAULT_DTYPE, RunningStats, conv_output_hw
 
 ATTENTION_MODES = ("learned", "frozen", "off")
 
@@ -167,23 +173,64 @@ def count_parameters(store: ParamStore) -> int:
     return sum(p.value.size for p in store.trainable())
 
 
-# -- layer planning ------------------------------------------------------------
+# -- layer plan ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One convolution of the network and where its parameters live.
+
+    ``kind`` is "conv_bn" (a bias-free conv with its weight at
+    ``{prefix}.weight``, then a batch norm at :attr:`bn`), "conv" (a bare
+    bias-free conv, the gate's ``F_pre`` alignment) or "gate" (the attention
+    gate's mask conv, weight and bias at ``prefix``).
+    """
+
+    prefix: str
+    kind: str
+    spec: ConvSpec
+
+    @property
+    def bn(self) -> str:
+        """The batch norm's prefix: the conv's, with "conv" in its last part
+        read as "bn" (``stem.conv`` -> ``stem.bn``, ``s0b0.conv1`` -> ``s0b0.bn1``)."""
+        head, _, last = self.prefix.rpartition(".")
+        return f"{head}.{last.replace('conv', 'bn')}"
+
+
+def _conv_layer(prefix, kind, in_ch, out_ch, kernel, stride) -> Layer:
+    # odd kernels padded to keep the map at ceil(size / stride)
+    return Layer(prefix, kind, ConvSpec(out_channels=out_ch, in_channels=in_ch, kernel_h=kernel,
+                                        kernel_w=kernel, stride=stride,
+                                        padding=(kernel - 1) // 2, has_bias=False))
+
+
+def _stem_layer(cfg: NetworkConfig) -> Layer:
+    return _conv_layer("stem.conv", "conv_bn", cfg.input_shape[0], cfg.stem_channels,
+                       cfg.stem_kernel, cfg.stem_stride)
 
 
 @dataclass(frozen=True)
 class ModulePlan:
-    """Static shape bookkeeping for one combined module."""
+    """One combined module: its shape and its layers.
+
+    ``layers`` maps each layer's role to the layer, in parameter creation
+    order: "conv1" and "conv2", the residual branch; "shortcut" and
+    "align", the 1x1 strided projections of the module input onto the
+    block's output shape for the residual add and for the gate's ``F_pre``,
+    present only when the block changes shape; "gate", absent with
+    attention off.
+    """
 
     name: str
     in_channels: int
     out_channels: int
     stride: int
+    layers: dict[str, Layer]
 
     @property
     def projected(self) -> bool:
-        # both the residual shortcut and the gate's f_pre need a 1x1 projection
-        # exactly when the block changes shape
-        return self.stride != 1 or self.in_channels != self.out_channels
+        return "shortcut" in self.layers
 
 
 def module_plan(cfg: NetworkConfig) -> list[ModulePlan]:
@@ -191,76 +238,69 @@ def module_plan(cfg: NetworkConfig) -> list[ModulePlan]:
     in_ch = cfg.stem_channels
     for si, stage in enumerate(cfg.stages):
         for bi in range(stage.blocks):
-            stride = stage.stride if bi == 0 else 1
-            plan.append(ModulePlan(f"s{si}b{bi}", in_ch, stage.channels, stride))
-            in_ch = stage.channels
+            name, out_ch, stride = f"s{si}b{bi}", stage.channels, stage.stride if bi == 0 else 1
+            layers = {"conv1": _conv_layer(f"{name}.conv1", "conv_bn", in_ch, out_ch, 3, stride),
+                      "conv2": _conv_layer(f"{name}.conv2", "conv_bn", out_ch, out_ch, 3, 1)}
+            if stride != 1 or in_ch != out_ch:
+                layers["shortcut"] = _conv_layer(f"{name}.shortcut.conv", "conv_bn",
+                                                 in_ch, out_ch, 1, stride)
+                layers["align"] = _conv_layer(f"{name}.align", "conv", in_ch, out_ch, 1, stride)
+            if cfg.attention != "off":
+                layers["gate"] = Layer(f"{name}.attn", "gate",
+                                       attention_conv_spec(out_ch, cfg.attention_kernel))
+            plan.append(ModulePlan(name, in_ch, out_ch, stride, layers))
+            in_ch = out_ch
     return plan
 
 
 def feature_shape(cfg: NetworkConfig) -> tuple[int, int, int]:
-    """(channels, h, w) of the map entering global pooling, by stride arithmetic."""
+    """(channels, h, w) of the map entering global pooling: the input size
+    through the stem and each module's residual branch."""
     _, h, w = cfg.input_shape
-    h, w = (h + cfg.stem_stride - 1) // cfg.stem_stride, (w + cfg.stem_stride - 1) // cfg.stem_stride
-    ch = cfg.stem_channels
-    for m in module_plan(cfg):
-        h, w = (h + m.stride - 1) // m.stride, (w + m.stride - 1) // m.stride
-        ch = m.out_channels
-    return ch, h, w
+    plan = module_plan(cfg)
+    specs = [_stem_layer(cfg).spec] + [m.layers[k].spec for m in plan for k in ("conv1", "conv2")]
+    for spec in specs:
+        h, w = conv_output_hw(spec, h, w)
+    return plan[-1].out_channels, h, w
 
 
 # -- initialization ------------------------------------------------------------
 
 
-def _conv_spec(in_ch, out_ch, kernel, stride, padding) -> ConvSpec:
-    return ConvSpec(out_channels=out_ch, in_channels=in_ch, kernel_h=kernel,
-                    kernel_w=kernel, stride=stride, padding=padding, has_bias=False)
-
-
-def _add_conv(store, prefix, spec, rng):
+def _add_layer(store, layer: Layer, rng, attention: str):
+    spec = layer.spec
+    if layer.kind == "gate":
+        gate = init_attention(spec.out_channels, spec.kernel_h, rng, prefix=layer.prefix,
+                              trainable=attention == "learned", zero=attention == "frozen")
+        store.add(gate.weight)
+        store.add(gate.bias)
+        return
     fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
-    store.add(Param(f"{prefix}.weight", kaiming_uniform(rng, spec.weight_shape, fan_in)))
-
-
-def _add_bn(store, prefix, channels):
-    store.add(Param(f"{prefix}.gamma", np.ones(channels, dtype=DEFAULT_DTYPE), decay_exempt=True))
-    store.add(Param(f"{prefix}.beta", np.zeros(channels, dtype=DEFAULT_DTYPE), decay_exempt=True))
-    store.add(Param(f"{prefix}.running_mean", np.zeros(channels, dtype=DEFAULT_DTYPE), trainable=False))
-    store.add(Param(f"{prefix}.running_var", np.ones(channels, dtype=DEFAULT_DTYPE), trainable=False))
+    store.add(Param(f"{layer.prefix}.weight", kaiming_uniform(rng, spec.weight_shape, fan_in)))
+    if layer.kind == "conv_bn":
+        ch = spec.out_channels
+        store.add(Param(f"{layer.bn}.gamma", np.ones(ch, dtype=DEFAULT_DTYPE), decay_exempt=True))
+        store.add(Param(f"{layer.bn}.beta", np.zeros(ch, dtype=DEFAULT_DTYPE), decay_exempt=True))
+        store.add(Param(f"{layer.bn}.running_mean", np.zeros(ch, dtype=DEFAULT_DTYPE), trainable=False))
+        store.add(Param(f"{layer.bn}.running_var", np.ones(ch, dtype=DEFAULT_DTYPE), trainable=False))
 
 
 def init_network(cfg: NetworkConfig) -> ParamStore:
     """Create every parameter of the network, deterministically from cfg.seed.
 
-    Convolution weights are Kaiming-uniform (no conv biases - batch norm
-    follows every backbone conv); batch norm starts at gamma=1, beta=0;
-    the attention gate and the head get their own inits.
+    Walks the stem layer, then each module's ``layers`` in order, then the
+    head, drawing every random init from one generator in that order. Conv
+    weights are Kaiming-uniform (no conv biases: a batch norm follows every
+    "conv_bn" layer), batch norm starts at gamma=1, beta=0; a gate layer is
+    made by ``init_attention`` (zero and frozen in "frozen" mode), and the
+    head gets its own init.
     """
     rng = np.random.default_rng(cfg.seed)
     store = ParamStore()
-    in_c = cfg.input_shape[0]
-    _add_conv(store, "stem.conv",
-              _conv_spec(in_c, cfg.stem_channels, cfg.stem_kernel, cfg.stem_stride,
-                         (cfg.stem_kernel - 1) // 2), rng)
-    _add_bn(store, "stem.bn", cfg.stem_channels)
-    for m in module_plan(cfg):
-        _add_conv(store, f"{m.name}.conv1", _conv_spec(m.in_channels, m.out_channels, 3, m.stride, 1), rng)
-        _add_bn(store, f"{m.name}.bn1", m.out_channels)
-        _add_conv(store, f"{m.name}.conv2", _conv_spec(m.out_channels, m.out_channels, 3, 1, 1), rng)
-        _add_bn(store, f"{m.name}.bn2", m.out_channels)
-        if m.projected:
-            _add_conv(store, f"{m.name}.shortcut.conv",
-                      _conv_spec(m.in_channels, m.out_channels, 1, m.stride, 0), rng)
-            _add_bn(store, f"{m.name}.shortcut.bn", m.out_channels)
-            _add_conv(store, f"{m.name}.align",
-                      _conv_spec(m.in_channels, m.out_channels, 1, m.stride, 0), rng)
-        if cfg.attention != "off":
-            gate = init_attention(m.out_channels, cfg.attention_kernel, rng,
-                                  prefix=f"{m.name}.attn",
-                                  trainable=cfg.attention == "learned",
-                                  zero=cfg.attention == "frozen")
-            store.add(gate.weight)
-            store.add(gate.bias)
-    feat_ch = module_plan(cfg)[-1].out_channels
+    plan = module_plan(cfg)
+    for layer in [_stem_layer(cfg)] + [layer for m in plan for layer in m.layers.values()]:
+        _add_layer(store, layer, rng, cfg.attention)
+    feat_ch = plan[-1].out_channels
     store.add(Param("head.weight",
                     kaiming_uniform(rng, (cfg.num_classes, feat_ch), fan_in=feat_ch)))
     store.add(Param("head.bias", np.zeros(cfg.num_classes, dtype=DEFAULT_DTYPE), decay_exempt=True))
@@ -290,45 +330,32 @@ class ForwardTrace:
     logits: Node = None
 
 
-def _graph_conv(graph, x, store, prefix, spec):
-    return graph.conv2d(x, graph.leaf(store[f"{prefix}.weight"]), None, spec)
+def _layer_graph(graph, x, store, layer: Layer | None, train, update_running):
+    """A "conv_bn" or "conv" layer on ``x``; a layer the module lacks (None),
+    such as the shortcut of a block that keeps its shape, is the identity."""
+    if layer is None:
+        return x
+    y = graph.conv2d(x, graph.leaf(store[f"{layer.prefix}.weight"]), None, layer.spec)
+    if layer.kind == "conv":
+        return y
+    bn = layer.bn
+    return graph.batchnorm2d(y, graph.leaf(store[f"{bn}.gamma"]), graph.leaf(store[f"{bn}.beta"]),
+                             store.running_stats(bn), train, update_running=update_running)
 
 
-def _graph_bn(graph, x, store, prefix, train, update_running):
-    return graph.batchnorm2d(x, graph.leaf(store[f"{prefix}.gamma"]),
-                             graph.leaf(store[f"{prefix}.beta"]),
-                             store.running_stats(prefix), train,
-                             update_running=update_running)
-
-
-def _gate_params(store: ParamStore, cfg: NetworkConfig, m: ModulePlan) -> AttentionParams:
-    return AttentionParams(weight=store[f"{m.name}.attn.weight"],
-                           bias=store[f"{m.name}.attn.bias"],
-                           spec=attention_conv_spec(m.out_channels, cfg.attention_kernel))
-
-
-def _combined_module_graph(graph, f_in: Node, store, cfg, m: ModulePlan,
+def _combined_module_graph(graph, f_in: Node, store, m: ModulePlan,
                            train, update_running) -> ModuleTrace:
-    y = _graph_conv(graph, f_in, store, f"{m.name}.conv1",
-                    _conv_spec(m.in_channels, m.out_channels, 3, m.stride, 1))
-    y = graph.relu(_graph_bn(graph, y, store, f"{m.name}.bn1", train, update_running))
-    y = _graph_conv(graph, y, store, f"{m.name}.conv2",
-                    _conv_spec(m.out_channels, m.out_channels, 3, 1, 1))
-    y = _graph_bn(graph, y, store, f"{m.name}.bn2", train, update_running)
-    if m.projected:
-        sc = _graph_conv(graph, f_in, store, f"{m.name}.shortcut.conv",
-                         _conv_spec(m.in_channels, m.out_channels, 1, m.stride, 0))
-        sc = _graph_bn(graph, sc, store, f"{m.name}.shortcut.bn", train, update_running)
-    else:
-        sc = f_in
+    layers = m.layers
+    y = graph.relu(_layer_graph(graph, f_in, store, layers["conv1"], train, update_running))
+    y = _layer_graph(graph, y, store, layers["conv2"], train, update_running)
+    sc = _layer_graph(graph, f_in, store, layers.get("shortcut"), train, update_running)
     f_cur = graph.relu(graph.add(y, sc))
-    if m.projected:
-        f_pre = _graph_conv(graph, f_in, store, f"{m.name}.align",
-                            _conv_spec(m.in_channels, m.out_channels, 1, m.stride, 0))
-    else:
-        f_pre = f_in
-    if cfg.attention != "off":
-        refined, mask = attention_forward_graph(graph, f_pre, f_cur, _gate_params(store, cfg, m))
+    f_pre = _layer_graph(graph, f_in, store, layers.get("align"), train, update_running)
+    gate = layers.get("gate")
+    if gate is not None:
+        params = AttentionParams(weight=store[f"{gate.prefix}.weight"],
+                                 bias=store[f"{gate.prefix}.bias"], spec=gate.spec)
+        refined, mask = attention_forward_graph(graph, f_pre, f_cur, params)
     else:
         refined, mask = f_cur, None
     return ModuleTrace(m.name, f_in, f_pre, f_cur, mask, refined)
@@ -345,14 +372,11 @@ def network_forward_graph(graph: GradGraph, batch, store: ParamStore, cfg: Netwo
     if x.value.shape[1] != cfg.input_shape[0]:
         raise ValueError(
             f"batch has {x.value.shape[1]} channels, config expects {cfg.input_shape[0]}")
-    y = _graph_conv(graph, x, store, "stem.conv",
-                    _conv_spec(cfg.input_shape[0], cfg.stem_channels, cfg.stem_kernel,
-                               cfg.stem_stride, (cfg.stem_kernel - 1) // 2))
-    stem = graph.relu(_graph_bn(graph, y, store, "stem.bn", train, update_running))
+    stem = graph.relu(_layer_graph(graph, x, store, _stem_layer(cfg), train, update_running))
     trace = ForwardTrace(stem=stem)
     prev = stem
     for m in module_plan(cfg):
-        mod = _combined_module_graph(graph, prev, store, cfg, m, train, update_running)
+        mod = _combined_module_graph(graph, prev, store, m, train, update_running)
         trace.modules.append(mod)
         prev = mod.refined
     pooled = graph.global_avg_pool(prev)

@@ -240,6 +240,19 @@ def test_grad_check_fails_on_non_finite_gradient():
     assert report.max_error == math.inf
 
 
+def test_grad_check_names_a_param_the_loss_never_enters():
+    x = Param("x", np.array([0.5, -1.0, 2.0]))
+    y = Param("y", np.array([1.0, 2.0]))
+    frozen = Param("frozen", np.array([3.0]), trainable=False)
+
+    def make_loss(g):
+        return g.weighted_sum(g.leaf(x), np.ones(3))
+
+    assert grad_check(make_loss, [x, frozen]).checked == 3
+    with pytest.raises(ValueError, match="'y'"):
+        grad_check(make_loss, [x, y])
+
+
 def plain_grad_check(make_loss, params, eps=1e-5, max_entries=None, rng=None):
     """Central differences with every re-evaluation on a fresh ``GradGraph(record=False)``."""
     g = GradGraph()

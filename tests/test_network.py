@@ -68,6 +68,37 @@ def test_init_is_deterministic():
         npt.assert_array_equal(a[name].value, b[name].value)
 
 
+# SHA-256 of the seed-0 store of each preset and attention mode: pins every
+# entry's name, flags and shape, the order entries are created in, and the
+# values drawn for them.
+INIT_DIGESTS = {
+    ("micro", "learned"): "6ab338be7a4f1fcb0ae27159d13ac8830318cefcaca68a614f49336847092988",
+    ("micro", "frozen"): "b4fa33f93e19d2f2005525e62c3548dfe9961c1974389968d1504b6aed5b9319",
+    ("micro", "off"): "7817c963d11442bfc9cdc95c3c3b27e9ae3190b613baf3b2617be4fb9b7de408",
+    ("tiny", "learned"): "67e9b8fadd559538b8bd0c366b8ecc501c7a54d215a8fd819fcda5dae5edb507",
+    ("tiny", "frozen"): "bd2fc7e9705f52b7b548b03404607c3417dec6e27c8178a1431fed6978f20e0e",
+    ("tiny", "off"): "8b480039ab87d40437478315a72e7e6e1caf7f556d6bbcecf3805eb49f7a852e",
+    ("resnet18", "learned"): "46be7b4364715f704b779caf6842ef9b9fe8516ec38f7cd4f35de87c7c88a304",
+    ("resnet18", "frozen"): "c5672d45a965c678221570bbde52b9315ee0ca801544988d84b3e8895972d222",
+    ("resnet18", "off"): "8a27bbcd733b480d3157b95c3d40e1927c030a82d6f1fac587891da2f478b488",
+}
+
+
+def store_digest(store) -> str:
+    h = hashlib.sha256()
+    for p in store:
+        h.update(p.name.encode() + b"\0")
+        h.update(bytes([p.trainable, p.decay_exempt, p.value.ndim]))
+        h.update(np.asarray(p.value.shape, dtype="<u4").tobytes())
+        h.update(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,mode", list(INIT_DIGESTS))
+def test_init_matches_its_golden_digest(name, mode):
+    assert store_digest(init_network(preset(name, attention=mode))) == INIT_DIGESTS[name, mode]
+
+
 def test_seed_changes_weights():
     a = init_network(preset("tiny", seed=0))
     b = init_network(preset("tiny", seed=1))
