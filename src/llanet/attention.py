@@ -94,10 +94,11 @@ def attention_forward(f_pre: np.ndarray, f_cur: np.ndarray,
 
 def attention_forward_graph(graph: GradGraph, f_pre: Node, f_cur: Node,
                             params: AttentionParams) -> tuple[Node, Node]:
-    """The gate on a tape: mask conv of the concat, sigmoid, multiply.
+    """The gate on a tape: mask conv of ``f_pre``‖``f_cur``, sigmoid, multiply.
 
-    The conv reads the pair ``(f_pre, f_cur)`` as its input, so the concat is
-    formed inside ``GradGraph.conv2d`` and the tape never keeps it.
+    The conv reads the pair ``(f_pre, f_cur)`` as its input: its kernels copy
+    both maps into the padded buffer they build anyway, so the concat is
+    never formed, in the forward or in the adjoint.
     """
     _check_pair(f_pre.value, f_cur.value, params)
     pre_mask = graph.conv2d((f_pre, f_cur), graph.leaf(params.weight),

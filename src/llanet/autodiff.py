@@ -17,8 +17,9 @@ dies by reference counting with its last forward use: a batch-norm output
 that only feeds an add or a ReLU, a residual sum, the gate's pre-sigmoid
 conv output. ReLU masks on its own output, which is positive exactly where
 its input is. ``conv2d`` also takes a pair of nodes as one input, as the gate
-conv reads ``F_pre``‖``F_cur``: it forms the concat for the forward and again
-inside its adjoint instead of keeping it. Batch norm's adjoint reads the
+conv reads ``F_pre``‖``F_cur``: the conv kernels copy both maps into the
+padded buffer they build anyway, in the forward and in the adjoint's dW, so
+the concat is never formed at all. Batch norm's adjoint reads the
 per-channel mean and variance its kernel normalized with (2C floats) rather
 than computing them again. Since the tape keeps no op outputs,
 ``first_non_finite`` rebuilds a failed step's forward to find the first one
@@ -29,11 +30,11 @@ topological order. It keeps the pending cotangents itself, keyed on
 handles, accumulating them across fan-out, and frees each one as soon as its
 node's adjoint has run. It keeps a cotangent only for an input that needs a
 gradient, and the conv adjoint does not even compute the others (the weight
-gradient of a frozen gate, the input gradient of the image batch). An op
-output's first cotangent is copied, since later ones are added into it in
-place; a leaf's is kept as the adjoint sent it, and a second one starts a
-fresh sum, so nothing writes into an array an adjoint may also have sent
-elsewhere.
+gradient of a frozen gate, the input gradient of the image batch). Every
+first cotangent is kept as the adjoint sent it, and each later one makes a
+fresh sum: an adjoint may send one array to two parents (``add`` sends its
+``dy`` to both), so neither ``backward`` nor an adjoint ever writes into a
+cotangent it was given.
 
 A leaf's gradient is final once the sweep has run every adjoint down to the
 tape length at which the leaf first entered the graph, since no op taped
@@ -144,13 +145,6 @@ class Node:
         return f"Node({self.label or 'const'}, shape={np.shape(self.value)})"
 
 
-def _joined(parts) -> np.ndarray:
-    """The one conv input that ``parts`` stand for, their channels in order.
-    Callers pass it straight to a kernel, so a pair's concat is freed as soon
-    as the kernel returns rather than held through the rest of an adjoint."""
-    return parts[0] if len(parts) == 1 else tensor.concat_channels(*parts)
-
-
 class GradGraph:
     """Tape of differentiable ops; build a scalar loss, then call ``backward``.
 
@@ -202,22 +196,21 @@ class GradGraph:
     def conv2d(self, x: Node | tuple[Node, Node], weight: Node, bias: Node | None,
                spec: ConvSpec) -> Node:
         """Conv of ``x``, a node or a pair ``(a, b)`` read as one input with
-        ``b``'s channels after ``a``'s. A pair's concat is formed for the
-        forward and again in the adjoint for dW, never kept; dx splits
-        between ``a`` and ``b``."""
+        ``b``'s channels after ``a``'s. The kernels copy a pair's maps straight
+        into their padded buffer, in the forward and in the adjoint for dW, so
+        no concat is ever formed; dx splits between ``a`` and ``b``."""
         a, b = x if isinstance(x, tuple) else (x, None)
-        parts = (a.value,) if b is None else (a.value, b.value)
-        out = tensor.conv2d(_joined(parts), weight.value, None if bias is None else bias.value,
-                            spec)
+        xv = a.value if b is None else (a.value, b.value)
+        out = tensor.conv2d(xv, weight.value, None if bias is None else bias.value, spec)
         ha, hb = a.handle, None if b is None else b.handle
         hw, hbias = weight.handle, None if bias is None else bias.handle
-        kept = parts if hw is not None else None
+        kept = xv if hw is not None else None
         wv = weight.value if ha is not None or hb is not None else None
         ca, (h, w) = a.value.shape[1], a.value.shape[2:]
 
         def backprop(dy, send):
             if hw is not None:
-                send(hw, tensor.conv2d_weight_grad(_joined(kept), dy, spec))
+                send(hw, tensor.conv2d_weight_grad(kept, dy, spec))
             if hbias is not None:
                 send(hbias, dy.sum(axis=(0, 2, 3)))
             if wv is not None:
@@ -400,18 +393,13 @@ class GradGraph:
             grads[root.handle] = np.ones_like(root.value, dtype=DEFAULT_DTYPE)
 
         def send(parent: Handle | None, grad):
+            # the first contribution is kept as sent and each later one makes
+            # a fresh sum, so nothing writes into an array an adjoint sent
             if parent is None:
                 return
             pending = grads.get(parent)
-            if parent._backprop is None:
-                # a leaf keeps its first contribution as sent and starts a fresh
-                # sum at the second, never writing into an adjoint's own array
-                grads[parent] = (np.asarray(grad, dtype=DEFAULT_DTYPE) if pending is None
-                                 else pending + grad)
-            elif pending is None:
-                grads[parent] = np.array(grad, dtype=DEFAULT_DTYPE)
-            else:
-                pending += grad
+            grads[parent] = (np.asarray(grad, dtype=DEFAULT_DTYPE) if pending is None
+                             else pending + grad)
 
         collected = {}
         sink = collected.__setitem__ if self.sink is None else self.sink

@@ -409,12 +409,27 @@ def augment_train(img: Image, out_size: int, pad: int, rng: np.random.Generator)
     return out
 
 
+def ten_crop_boxes(height: int, width: int, crop_size: int) -> list[tuple[int, int]]:
+    """(top, left) of the four corner crops and the center crop, in that order."""
+    if crop_size > min(height, width):
+        raise ValueError(f"crop {crop_size} exceeds image {height}x{width}")
+    h, w, c = height, width, crop_size
+    return [(0, 0), (0, w - c), (h - c, 0), (h - c, w - c), ((h - c) // 2, (w - c) // 2)]
+
+
 def ten_crop(img: Image, crop_size: int) -> list[Image]:
     """Four corners + center, then the horizontal flip of each, in that order."""
-    if crop_size > min(img.height, img.width):
-        raise ValueError(f"crop {crop_size} exceeds image {img.height}x{img.width}")
-    h, w, c = img.height, img.width, crop_size
-    corners = [(0, 0), (0, w - c), (h - c, 0), (h - c, w - c),
-               ((h - c) // 2, (w - c) // 2)]
-    crops = [crop(img, top, left, c, c) for top, left in corners]
+    c = crop_size
+    crops = [crop(img, top, left, c, c) for top, left in ten_crop_boxes(img.height, img.width, c)]
     return crops + [hflip(x) for x in crops]
+
+
+def ten_crop_tensor(img: Image, crop_size: int, mean, std) -> np.ndarray:
+    """The (10, c, s, s) batch of ``ten_crop``'s crops, each through
+    ``to_tensor``: the image is normalised once and the crops are cut from
+    that, which gives the same bits, since normalising is per pixel."""
+    x = to_tensor(img, mean, std)[0]
+    c = crop_size
+    crops = [x[:, top:top + c, left:left + c]
+             for top, left in ten_crop_boxes(img.height, img.width, c)]
+    return np.stack(crops + [part[:, :, ::-1] for part in crops])

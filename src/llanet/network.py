@@ -24,10 +24,13 @@ non-trainable entries in the same namespace so checkpoints capture them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -226,14 +229,21 @@ class ModulePlan:
     in_channels: int
     out_channels: int
     stride: int
-    layers: dict[str, Layer]
+    layers: Mapping[str, Layer]
 
     @property
     def projected(self) -> bool:
         return "shortcut" in self.layers
 
 
-def module_plan(cfg: NetworkConfig) -> list[ModulePlan]:
+@functools.lru_cache(maxsize=32)
+def module_plan(cfg: NetworkConfig) -> tuple[ModulePlan, ...]:
+    """Every combined module's plan, in forward order.
+
+    Built once per config (a frozen, hashable dataclass) and shared by every
+    later call, so a forward does not rebuild and revalidate its specs; the
+    plan is immutable: a tuple of plans whose ``layers`` are read-only.
+    """
     plan = []
     in_ch = cfg.stem_channels
     for si, stage in enumerate(cfg.stages):
@@ -248,9 +258,9 @@ def module_plan(cfg: NetworkConfig) -> list[ModulePlan]:
             if cfg.attention != "off":
                 layers["gate"] = Layer(f"{name}.attn", "gate",
                                        attention_conv_spec(out_ch, cfg.attention_kernel))
-            plan.append(ModulePlan(name, in_ch, out_ch, stride, layers))
+            plan.append(ModulePlan(name, in_ch, out_ch, stride, MappingProxyType(layers)))
             in_ch = out_ch
-    return plan
+    return tuple(plan)
 
 
 def feature_shape(cfg: NetworkConfig) -> tuple[int, int, int]:

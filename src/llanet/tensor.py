@@ -6,13 +6,18 @@ here are the only copy of the forward math: the ops of ``llanet.autodiff``
 take their values from them, and their adjoints rebuild what only the
 backward pass needs with the helpers here: ``conv2d_weight_grad`` and
 ``conv2d_input_grad`` for the conv, ``_conv_windows`` for the max-pool
-windows, and ``_normalize``, which batch norm's kernel and adjoint share so
-both normalize with the same ``BN_EPS``. ``batchnorm2d`` returns the
-per-channel moments it normalized with, which its adjoint reads.
+windows, and ``_normalize``, which batch norm's train-mode kernel and its
+adjoint share so both normalize with the same ``BN_EPS``. ``batchnorm2d``
+returns the per-channel moments it normalized with, which its adjoint reads;
+in eval mode it is the fixed per-channel affine map ``x * scale + shift``.
 Running batch-norm statistics are owned by the caller and passed in
 explicitly, so kernels keep no hidden state.
 
-A conv runs in one of two layouts, picked from its shapes alone:
+A conv's input is a map or a tuple of maps read as one, their channels in
+order (the attention gate's ``F_pre``, ``F_cur``). Both layouts pad their
+input into a fresh buffer, and a tuple's maps are copied into it directly,
+so the concat is never formed. A conv runs in one of two layouts, picked
+from its shapes alone:
 
 - im2col: the sliding-window view is copied to a (n, c*kh*kw, oh*ow) column
   matrix for one GEMM with K = c*kh*kw. Its adjoint takes dW by
@@ -127,6 +132,18 @@ def _require_nchw(x, name="input") -> np.ndarray:
     return x
 
 
+def _require_joinable(parts: tuple) -> tuple:
+    """``parts`` as given, once they agree on batch and spatial dims, so that
+    their channels can be read as one map."""
+    for part in parts[1:]:
+        for axis in (0, 2, 3):
+            if part.shape[axis] != parts[0].shape[axis]:
+                raise DimensionError(
+                    f"operands disagree on {AXIS_NAMES[axis]}: {parts[0].shape[axis]} vs "
+                    f"{part.shape[axis]}", axis=AXIS_NAMES[axis])
+    return parts
+
+
 def _mismatch_axis(a: np.ndarray, b: np.ndarray) -> str:
     if a.ndim != b.ndim:
         return "rank"
@@ -174,13 +191,49 @@ def conv_output_hw(spec: ConvSpec, h: int, w: int) -> tuple[int, int]:
     return oh, ow
 
 
+def _conv_parts(x) -> tuple:
+    """The arrays a conv input stands for: ``x`` itself, or a tuple of maps
+    read as one input with their channels in order (the gate's ``F_pre``,
+    ``F_cur``)."""
+    return x if isinstance(x, tuple) else (x,)
+
+
+def _conv_input_shape(x) -> tuple[int, int, int, int]:
+    """(n, c, h, w) of a conv input, a pair's channels summed."""
+    parts = _conv_parts(x)
+    n, _, h, w = parts[0].shape
+    return n, sum(part.shape[1] for part in parts), h, w
+
+
+def _padded(x, padding: int, spare_rows: int = 0) -> np.ndarray:
+    """A conv input zero-padded by ``padding`` on every side, plus
+    ``spare_rows`` zero rows at the bottom, in one fresh buffer that a pair's
+    maps are copied into directly; a single map with nothing to pad is
+    returned as it is."""
+    parts = _conv_parts(x)
+    if len(parts) == 1 and not padding and not spare_rows:
+        return parts[0]
+    n, c, h, w = _conv_input_shape(x)
+    p = padding
+    buf = np.empty((n, c, h + 2 * p + spare_rows, w + 2 * p), dtype=np.result_type(*parts))
+    # zero only the border, since every map is copied into the interior
+    buf[:, :, :p] = 0.0
+    buf[:, :, p + h:] = 0.0
+    buf[:, :, p:p + h, :p] = 0.0
+    buf[:, :, p:p + h, p + w:] = 0.0
+    start = 0
+    for part in parts:
+        buf[:, start:start + part.shape[1], p:p + h, p:p + w] = part
+        start += part.shape[1]
+    return buf
+
+
 def _conv_windows(x, kh, kw, stride, padding):
     """Read-only sliding-window view (n, c, kh, kw, oh, ow) over the padded input."""
-    n, c, h, w = x.shape
+    n, c, h, w = _conv_input_shape(x)
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    x = _padded(x, padding)
     sn, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
@@ -203,11 +256,8 @@ def _on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
 
 def _tap_input(x, spec: ConvSpec) -> np.ndarray:
     """``x`` zero-padded into (n, c, hp + 1, wp) and viewed as (n, c, (hp + 1) * wp)."""
-    n, c, h, w = x.shape
-    p = spec.padding
-    buf = np.zeros((n, c, h + 2 * p + 1, w + 2 * p), dtype=x.dtype)
-    buf[:, :, p:p + h, p:p + w] = x
-    return buf.reshape(n, c, -1)
+    buf = _padded(x, spec.padding, spare_rows=1)
+    return buf.reshape(*buf.shape[:2], -1)
 
 
 def _tap_offsets(spec: ConvSpec, wp: int) -> list[int]:
@@ -217,14 +267,16 @@ def _tap_offsets(spec: ConvSpec, wp: int) -> list[int]:
 
 def _im2col_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     windows = _conv_windows(x, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
-    cols = windows.reshape(x.shape[0], spec.in_channels * spec.kernel_h * spec.kernel_w, oh * ow)
+    n = windows.shape[0]
+    cols = windows.reshape(n, spec.in_channels * spec.kernel_h * spec.kernel_w, oh * ow)
     wmat = weight.reshape(spec.out_channels, -1)
-    return np.matmul(wmat, cols).reshape(x.shape[0], spec.out_channels, oh, ow)
+    return np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
 
 
 def _tap_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     """Tap-layout conv; returns a (n, o, oh, ow) view of the (n, o, oh, wp) sums."""
-    wp = x.shape[3] + 2 * spec.padding
+    n, _, _, w = _conv_input_shape(x)
+    wp = w + 2 * spec.padding
     span = oh * wp
     flat = _tap_input(x, spec)
     # the weight as a contiguous (kh*kw, o, c), taps in row-major order: numpy
@@ -235,7 +287,7 @@ def _tap_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     part = np.empty_like(out)
     for w_t, off in rest:
         out += np.matmul(w_t, flat[:, :, off:off + span], out=part)
-    return out.reshape(x.shape[0], spec.out_channels, oh, wp)[..., :ow]
+    return out.reshape(n, spec.out_channels, oh, wp)[..., :ow]
 
 
 def _im2col_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
@@ -245,7 +297,7 @@ def _im2col_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
 
 def _tap_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
     n, o, oh, ow = dy.shape
-    wp = x.shape[3] + 2 * spec.padding
+    wp = _conv_input_shape(x)[3] + 2 * spec.padding
     flat = _tap_input(x, spec)
     # dy zero-padded to width wp, so the garbage columns of each tap add nothing
     dyf = np.zeros((n, o, oh * wp), dtype=dy.dtype)
@@ -278,7 +330,8 @@ def _transposed(weight, spec: ConvSpec):
 
 
 def conv2d_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
-    """Gradient of conv2d's weight, given its input ``x`` and output cotangent ``dy``."""
+    """Gradient of conv2d's weight, given its input ``x`` (a map or a tuple of
+    maps, as for ``conv2d``) and output cotangent ``dy``."""
     on_taps = _on_taps(spec, dy.shape[2], dy.shape[3])
     return (_tap_weight_grad if on_taps else _im2col_weight_grad)(x, dy, spec)
 
@@ -291,12 +344,18 @@ def conv2d_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
 
 
 def conv2d(x, weight, bias, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlate ``x`` (n, c, h, w) with ``weight`` (out, in, kh, kw)."""
-    x = _require_nchw(x)
+    """Cross-correlate ``x`` (n, c, h, w) with ``weight`` (out, in, kh, kw).
+
+    ``x`` may also be a tuple of maps that agree on batch and spatial dims,
+    read as one input with their channels in order: the layouts copy each
+    into the padded buffer they build anyway, so the concat is never formed.
+    """
+    x = _require_joinable(tuple(_require_nchw(part) for part in _conv_parts(x)))
+    n, c, h, w = _conv_input_shape(x)
     weight = np.asarray(weight)
-    if x.shape[1] != spec.in_channels:
+    if c != spec.in_channels:
         raise DimensionError(
-            f"input has {x.shape[1]} channels, spec expects {spec.in_channels}", axis="channels")
+            f"input has {c} channels, spec expects {spec.in_channels}", axis="channels")
     if weight.shape != spec.weight_shape:
         raise DimensionError(
             f"weight shape {weight.shape} does not match spec {spec.weight_shape}", axis="weight")
@@ -310,9 +369,14 @@ def conv2d(x, weight, bias, spec: ConvSpec) -> np.ndarray:
     elif bias is not None:
         raise DimensionError("spec declares no bias but one was given", axis="bias")
 
-    oh, ow = conv_output_hw(spec, x.shape[2], x.shape[3])
+    oh, ow = conv_output_hw(spec, h, w)
     out = (_tap_forward if _on_taps(spec, oh, ow) else _im2col_forward)(x, weight, spec, oh, ow)
-    return out + bias[None, :, None, None] if spec.has_bias else np.ascontiguousarray(out)
+    if not spec.has_bias:
+        return np.ascontiguousarray(out)
+    # the im2col output is contiguous and takes the bias in place; a tap view
+    # needs a contiguous copy anyway, which the sum makes
+    contiguous = out.flags.c_contiguous
+    return np.add(out, bias[None, :, None, None], out=out if contiguous else None)
 
 
 @dataclass
@@ -333,9 +397,13 @@ def batch_moments(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normalize(x, mean, var):
-    """Per-channel (x - mean) / sqrt(var + BN_EPS), plus the broadcastable inverse std."""
+    """Per-channel (x - mean) / sqrt(var + BN_EPS), plus the broadcastable inverse std.
+
+    The normalized map is one fresh array, scaled in place."""
     inv = (1.0 / np.sqrt(var + BN_EPS))[None, :, None, None]
-    return (x - mean[None, :, None, None]) * inv, inv
+    xhat = x - mean[None, :, None, None]
+    xhat *= inv
+    return xhat, inv
 
 
 def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
@@ -346,7 +414,8 @@ def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
     normalized with, as arrays of the kernel's own (in eval mode, copies of
     the running stats). In train mode the running stats are updated in place
     with momentum ``BN_MOMENTUM`` (variance with the unbiased estimate)
-    unless ``update_running`` is False.
+    unless ``update_running`` is False. Eval mode is a fixed per-channel
+    affine map, so it runs as ``x * scale + shift`` in two passes.
     """
     x = _require_nchw(x)
     c = x.shape[1]
@@ -356,28 +425,36 @@ def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
         raise DimensionError(f"gamma shape {gamma.shape} must be ({c},)", axis="channels")
     if beta.shape != (c,):
         raise DimensionError(f"beta shape {beta.shape} must be ({c},)", axis="channels")
-    if train:
-        m = x.shape[0] * x.shape[2] * x.shape[3]
-        if m < 2:
-            raise ValueError("train-mode batch norm needs at least 2 values per channel")
-        mean, var = batch_moments(x)
-        if update_running:
-            stats.mean *= 1.0 - BN_MOMENTUM
-            stats.mean += BN_MOMENTUM * mean
-            stats.var *= 1.0 - BN_MOMENTUM
-            stats.var += BN_MOMENTUM * (var * (m / (m - 1.0)))
-    else:
+    if not train:
         mean, var = stats.mean.copy(), stats.var.copy()
-    xhat, _ = _normalize(x, mean, var)
-    return gamma[None, :, None, None] * xhat + beta[None, :, None, None], mean, var
+        scale = gamma / np.sqrt(var + BN_EPS)
+        out = x * scale[None, :, None, None]
+        out += (beta - mean * scale)[None, :, None, None]
+        return out, mean, var
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    if m < 2:
+        raise ValueError("train-mode batch norm needs at least 2 values per channel")
+    mean, var = batch_moments(x)
+    if update_running:
+        stats.mean *= 1.0 - BN_MOMENTUM
+        stats.mean += BN_MOMENTUM * mean
+        stats.var *= 1.0 - BN_MOMENTUM
+        stats.var += BN_MOMENTUM * (var * (m / (m - 1.0)))
+    out, _ = _normalize(x, mean, var)
+    out *= gamma[None, :, None, None]
+    out += beta[None, :, None, None]
+    return out, mean, var
 
 
 def _sigmoid(x):
     # 1 / (1 + e) for x >= 0 and e / (1 + e) below: with e = exp(-|x|) <= 1
-    # neither side overflows, and no boolean-mask gather or scatter is needed
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+    # neither side overflows; max(e, x >= 0) is 1 or e without a mask gather
+    e = np.abs(x, dtype=np.result_type(x, 1.0))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
     out = out.astype(DEFAULT_DTYPE, copy=False)
     # keep the open interval (0, 1) even when exp() underflows
     info = np.finfo(out.dtype)
@@ -397,14 +474,8 @@ def activation(x, kind: str) -> np.ndarray:
 
 def concat_channels(a, b) -> np.ndarray:
     """Stack ``b``'s channels after ``a``'s; batch and spatial dims must agree."""
-    a = _require_nchw(a, "a")
-    b = _require_nchw(b, "b")
-    for axis in (0, 2, 3):
-        if a.shape[axis] != b.shape[axis]:
-            raise DimensionError(
-                f"operands disagree on {AXIS_NAMES[axis]}: {a.shape[axis]} vs {b.shape[axis]}",
-                axis=AXIS_NAMES[axis])
-    return np.concatenate([a, b], axis=1)
+    return np.concatenate(_require_joinable((_require_nchw(a, "a"), _require_nchw(b, "b"))),
+                          axis=1)
 
 
 def hadamard(a, b) -> np.ndarray:

@@ -320,10 +320,10 @@ def evaluate(store: ParamStore, dataset: LoadedDataset, net_cfg: NetworkConfig,
     for rec, img, label in zip(dataset.records, dataset.images, dataset.labels):
         size = crop_size or data_mod.default_eval_crop(min(img.height, img.width))
         if use_tencrop:
-            crops = data_mod.ten_crop(img, size)
+            batch = data_mod.ten_crop_tensor(img, size, norm.mean, norm.std)
         else:
-            crops = [data_mod.center_crop(img, size)]
-        logits = network_forward(_batch_tensor(crops, norm), store, net_cfg)
+            batch = _batch_tensor([data_mod.center_crop(img, size)], norm)
+        logits = network_forward(batch, store, net_cfg)
         probs = tensor.softmax(logits).mean(axis=0)
         pred = int(np.argmax(probs))
         cm.update(int(label), pred)

@@ -100,6 +100,44 @@ def test_unreachable_leaf_gets_zero_gradient():
     npt.assert_array_equal(grads["a"], np.ones((2, 2)))
 
 
+def test_no_adjoint_writes_into_the_cotangent_it_is_given():
+    # backward keeps each first cotangent as sent, and add sends its dy to
+    # both inputs, so an adjoint that wrote into its dy would corrupt a sum
+    cfg = dataclasses.replace(network.preset("micro"), stages=(
+        network.StageSpec(1, 4, 1), network.StageSpec(1, 8, 2)))
+    store = network.init_network(cfg)
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((2, *cfg.input_shape))
+    extra = [Param(name, rng.standard_normal((1, 2, 4, 4))) for name in ("p", "q")]
+
+    def build(g):
+        _, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
+                                             update_running=False)
+        p, q = (g.leaf(param) for param in extra)
+        pooled = g.maxpool(g.concat_channels(g.relu(p), g.sigmoid(q)), 2)
+        return g.add(loss, g.weighted_sum(g.add(pooled, pooled), np.ones(pooled.shape)))
+
+    g = GradGraph()
+    root = build(g)
+    labels = []
+    for handle in g._tape:
+        def checked(dy, send, backprop=handle._backprop, label=handle.label):
+            before = np.array(dy, copy=True)
+            backprop(dy, send)
+            assert np.asarray(dy).tobytes() == before.tobytes(), label
+            labels.append(label)
+        handle._backprop = checked
+    grads = g.backward(root)
+    assert {"conv2d", "batchnorm2d", "relu", "sigmoid", "hadamard", "add", "maxpool", "concat",
+            "global_avg_pool", "flatten", "linear", "softmax_cross_entropy",
+            "weighted_sum"} <= set(labels)
+    ref = GradGraph()
+    want = ref.backward(build(ref))
+    assert list(grads) == list(want)
+    for name, grad in want.items():
+        assert grads[name].tobytes() == grad.tobytes(), name
+
+
 def test_frozen_leaves_are_not_reported():
     frozen = Param("frozen", np.ones(2), trainable=False)
     live = Param("live", np.ones(2))
@@ -640,9 +678,9 @@ def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch):
                                                      update_running=False)
             if g.record:  # the tape is alive: the outputs no adjoint reads are not
                 # every batch-norm output (stem, bn1, bn2, shortcut), both residual
-                # sums, both gate concats and both pre-sigmoid gate outputs
+                # sums and both pre-sigmoid gate outputs; no gate forms a concat
                 assert {k: len(v) for k, v in made.items()} == {
-                    "batchnorm2d": 6, "add": 2, "concat_channels": 2, "conv2d": 2}
+                    "batchnorm2d": 6, "add": 2, "conv2d": 2}
                 assert [k for k, refs in made.items() if any(r() is not None for r in refs)] == []
                 assert len(trace.modules) == 2  # the trace is alive too, as in train_epoch
         finally:
@@ -666,6 +704,40 @@ def test_gate_conv_runs_through_the_one_conv_op(monkeypatch):
     assert len(inputs) == 4
     assert [type(v) for v in inputs].count(tuple) == 1
     assert not hasattr(GradGraph, "concat_conv2d")
+
+
+@pytest.mark.parametrize("cfg, layout", [
+    (network.preset("tiny"), "taps"),
+    # a 3x3 gate on a small, wide map, as resnet18's stage 3 at 112 px
+    (network.NetworkConfig(input_shape=(3, 6, 6), stem_channels=4,
+                           stages=(network.StageSpec(1, 16, 1),)), "im2col"),
+    (network.preset("micro", attention_kernel=1), "im2col"),
+])
+def test_no_gate_forms_a_concat(monkeypatch, cfg, layout):
+    store = network.init_network(cfg)
+    x = np.random.default_rng(24).standard_normal((2, *cfg.input_shape))
+    calls = []  # (kernel, layout) of each call given a pair, and every concat
+    for name in ("concat_channels", "conv2d", "conv2d_weight_grad"):
+        kernel = getattr(tensor, name)
+
+        def logged(*a, name=name, kernel=kernel):
+            if name == "concat_channels":
+                calls.append((name, None))
+            elif isinstance(a[0], tuple):
+                spec, (h, w) = a[-1], a[0][0].shape[2:]
+                calls.append((name, "taps" if tensor._on_taps(spec, h, w) else "im2col"))
+            return kernel(*a)
+
+        monkeypatch.setattr(tensor, name, logged)
+    g = GradGraph()
+    _, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
+                                         update_running=False)
+    grads = g.backward(loss)
+    # each gate's forward and dW read the pair (F_pre, F_cur) itself
+    gates = len(network.module_plan(cfg))
+    assert calls == [("conv2d", layout)] * gates + [("conv2d_weight_grad", layout)] * gates
+    for plan in network.module_plan(cfg):
+        assert np.abs(grads[f"{plan.layers['gate'].prefix}.weight"]).sum() > 0
 
 
 def test_train_batchnorm_takes_its_moments_once_a_step(monkeypatch):
@@ -807,7 +879,8 @@ def test_frozen_gate_backward_skips_unneeded_gradients(monkeypatch):
         dw_channels = []  # input channels of each conv weight gradient the adjoints form
         with monkeypatch.context() as m:
             m.setattr(tensor, "conv2d_weight_grad",
-                      lambda v, *a: dw_channels.append(v.shape[1]) or weight_grad(v, *a))
+                      lambda v, *a: dw_channels.append(tensor._conv_input_shape(v)[1])
+                      or weight_grad(v, *a))
             grads = g.backward(loss)
         return grads, sent, dw_channels, image, [g.leaf(p) for p in gate]
 

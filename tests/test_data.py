@@ -9,8 +9,8 @@ import oracles
 from llanet.data import (DatasetManifest, Image, ImageFormatError, LABEL_NAMES, ManifestError,
                          SampleRecord, augment_train, center_crop, crop, default_eval_crop,
                          format_image, format_manifest, hflip, merge_external, parse_image,
-                         parse_manifest, read_manifest, rebalance, ten_crop, to_tensor,
-                         undersample_sequences, write_manifest)
+                         parse_manifest, read_manifest, rebalance, ten_crop, ten_crop_tensor,
+                         to_tensor, undersample_sequences, write_manifest)
 
 HEADER = "sequence_id,frame_index,image_path,label,source\n"
 
@@ -463,3 +463,20 @@ def test_ten_crop_degenerate_full_size():
         npt.assert_array_equal(crops[i].pixels, img.pixels)
     with pytest.raises(ValueError):
         ten_crop(img, 7)
+
+
+@pytest.mark.parametrize("h, w, c", [(8, 10, 6), (9, 7, 5), (7, 7, 4), (6, 6, 6), (6, 9, 6)])
+def test_ten_crop_tensor_is_the_crops_through_to_tensor_bit_for_bit(h, w, c):
+    img = gradient_image(h=h, w=w, seed=c)
+    mean, std = (0.4, 0.5, 0.6), (0.2, 0.25, 0.3)
+    got = ten_crop_tensor(img, c, mean, std)
+    want = np.concatenate([to_tensor(x, mean, std) for x in ten_crop(img, c)])
+    assert got.shape == (10, 3, c, c) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_ten_crop_tensor_rejects_a_crop_larger_than_the_image():
+    img = gradient_image(h=6, w=8)
+    for make in (lambda: ten_crop(img, 7), lambda: ten_crop_tensor(img, 7, (0.5,) * 3, (0.5,) * 3)):
+        with pytest.raises(ValueError, match=r"^crop 7 exceeds image 6x8$"):
+            make()

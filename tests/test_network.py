@@ -1,5 +1,6 @@
 """Backbone assembly: shapes, parameter counts, stream threading, checkpoints."""
 
+import dataclasses
 import hashlib
 import platform
 import resource
@@ -144,6 +145,16 @@ def test_previous_stream_threads_through_modules():
     assert trace.modules[0].f_in is trace.stem
     for prev, cur in zip(trace.modules, trace.modules[1:]):
         assert cur.f_in is prev.refined
+
+
+def test_module_plan_is_built_once_per_config_and_immutable():
+    plan = module_plan(preset("tiny"))
+    assert module_plan(preset("tiny")) is plan  # an equal config hits the same plan
+    assert isinstance(plan, tuple) and module_plan(preset("tiny", seed=1)) is not plan
+    with pytest.raises(TypeError):
+        plan[0].layers["gate"] = plan[1].layers["gate"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan[0].layers = {}
 
 
 def test_alignment_only_when_shape_changes():
@@ -453,9 +464,11 @@ def preset_conv_picks(name, monkeypatch):
     picks = []
 
     def spy(x, weight, bias, spec):
-        oh, ow = tensor.conv_output_hw(spec, *x.shape[2:])
-        picks.append((spec, x.shape[2], "taps" if tensor._on_taps(spec, oh, ow) else "im2col"))
-        return np.zeros((x.shape[0], spec.out_channels, oh, ow))
+        n, c, h, w = tensor._conv_input_shape(x)  # a gate's pair: its channels summed
+        assert c == spec.in_channels
+        oh, ow = tensor.conv_output_hw(spec, h, w)
+        picks.append((spec, h, "taps" if tensor._on_taps(spec, oh, ow) else "im2col"))
+        return np.zeros((n, spec.out_channels, oh, ow))
 
     monkeypatch.setattr(tensor, "conv2d", spy)
     network_forward(batch_for(cfg, n=1), init_network(cfg), cfg)

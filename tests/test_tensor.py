@@ -75,6 +75,29 @@ def test_conv_shape_errors_name_axis():
     assert e.value.axis == "bias"
 
 
+@pytest.mark.parametrize("kernel, side, channels", [(3, 8, 2), (3, 4, 4), (1, 4, 2)])
+def test_conv_of_a_pair_is_the_conv_of_its_concat_bit_for_bit(kernel, side, channels):
+    # the gate conv on taps (3x3 on an 8 px map) and on im2col (3x3 on a
+    # 4 px map with wide channels, and 1x1 with no padding to build)
+    rng = np.random.default_rng(30)
+    spec = ConvSpec(channels, 2 * channels, kernel, kernel, padding=(kernel - 1) // 2)
+    a, b = rand(rng, 2, channels, side, side), rand(rng, 2, channels, side, side)
+    weight, bias = rand(rng, *spec.weight_shape), rand(rng, channels)
+    joined = np.concatenate([a, b], axis=1)
+    out = tensor.conv2d((a, b), weight, bias, spec)
+    assert out.flags.c_contiguous
+    npt.assert_array_equal(out, tensor.conv2d(joined, weight, bias, spec))
+    dy = rand(rng, *out.shape)
+    npt.assert_array_equal(tensor.conv2d_weight_grad((a, b), dy, spec),
+                           tensor.conv2d_weight_grad(joined, dy, spec))
+    with pytest.raises(DimensionError) as e:
+        tensor.conv2d((a, b[:, :, 1:]), weight, bias, spec)
+    assert e.value.axis == "height"
+    with pytest.raises(DimensionError) as e:
+        tensor.conv2d((a, b, b), weight, bias, spec)
+    assert e.value.axis == "channels"
+
+
 def test_conv_spec_validation():
     with pytest.raises(ValueError):
         ConvSpec(0, 1, 3, 3)
@@ -127,6 +150,24 @@ def test_batchnorm_running_stats_update_and_eval():
     y, _, _ = tensor.batchnorm2d(np.zeros_like(x), np.ones(2), np.zeros(2), stats, train=False)
     expected = -stats.mean / np.sqrt(stats.var + 1e-5)
     npt.assert_allclose(y[0, :, 0, 0], expected, atol=1e-12)
+
+
+def test_eval_batchnorm_matches_the_oracle_on_random_running_stats():
+    rng = np.random.default_rng(31)
+    x = rand(rng, 3, 4, 5, 5) * 2 + 1
+    stats = RunningStats(rng.normal(0.0, 1.0, 4), rng.uniform(0.1, 3.0, 4))
+    saved = stats.mean.copy(), stats.var.copy()
+    gamma, beta = rng.uniform(0.5, 1.5, 4), rng.normal(0.0, 0.5, 4)
+    out, mean, var = tensor.batchnorm2d(x, gamma, beta, stats, train=False)
+    c = (None, slice(None), None, None)
+    want = gamma[c] * (x - saved[0][c]) / np.sqrt(saved[1][c] + tensor.BN_EPS) + beta[c]
+    npt.assert_allclose(out, want, rtol=0, atol=1e-12)
+    # the moments it returns are copies, and the running stats stay put
+    npt.assert_array_equal(mean, saved[0])
+    npt.assert_array_equal(var, saved[1])
+    assert not np.shares_memory(mean, stats.mean) and not np.shares_memory(var, stats.var)
+    npt.assert_array_equal(stats.mean, saved[0])
+    npt.assert_array_equal(stats.var, saved[1])
 
 
 def test_batchnorm_update_can_be_disabled():
