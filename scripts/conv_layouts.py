@@ -12,10 +12,13 @@ collect the shape of every conv it makes, then, for each distinct conv,
 times the forward, the weight gradient (dW) and the input gradient (dx)
 in the im2col layout and in the tap layout of ``llanet.tensor`` (best of R
 runs, one BLAS thread, random operands), and prints a markdown table with
-the layout the kernel's rule picks for all three parts. The tap dx is the
-tap forward of the transposed conv, as ``tensor.conv2d_input_grad`` runs it.
-A conv the tap layout cannot run (stride > 1, a 1x1 or non-square kernel, or
-a padding not below the kernel) shows "-" in its tap columns.
+the layout the kernel's rule picks for all three parts. The timings are of
+the kernels as they run, walking the batch in blocks of at most
+``tensor.CONV_BLOCK_BYTES``; the blocks column gives how many blocks the
+tap forward, dW and dx, and the im2col forward, take at batch N. The tap dx
+is the tap forward of the transposed conv, as ``tensor.conv2d_input_grad``
+runs it. A conv the tap layout cannot run (stride > 1, a 1x1 or non-square
+kernel, or a padding not below the kernel) shows "-" in its tap columns.
 The totals add each part of every conv in each layout and in the pick.
 """
 
@@ -69,8 +72,28 @@ def best_ms(fn, repeats: int) -> float:
     return 1e3 * min(times)
 
 
-def time_layouts(spec, shape, repeats: int) -> dict:
-    """Best-of-``repeats`` milliseconds per (part, layout); None where taps cannot run."""
+def blocks_of(fn) -> int:
+    """Number of batch blocks ``fn()`` walks its padded input in."""
+    counts = []
+    blocks = tensor._padded_blocks
+
+    def spy(*args):
+        counts.append(0)
+        for item in blocks(*args):
+            counts[-1] += 1
+            yield item
+
+    tensor._padded_blocks = spy
+    try:
+        fn()
+    finally:
+        tensor._padded_blocks = blocks
+    return counts[0]
+
+
+def time_layouts(spec, shape, repeats: int) -> tuple[dict, str]:
+    """Best-of-``repeats`` milliseconds per (part, layout), None where taps
+    cannot run, and the blocks cell: taps fwd/dW/dx, then the im2col forward."""
     rng = np.random.default_rng(1)
     n, _, h, w = shape
     oh, ow = tensor.conv_output_hw(spec, h, w)
@@ -87,8 +110,12 @@ def time_layouts(spec, shape, repeats: int) -> dict:
     }
     k = spec.kernel_h
     tap_ok = spec.stride == 1 and spec.kernel_w == k > 1 and spec.padding < k
-    return {(part, layout): best_ms(fn, repeats) if layout == "im2col" or tap_ok else None
-            for layout, fns in runs.items() for part, fn in zip(("fwd", "dW", "dx"), fns)}
+    ms = {(part, layout): best_ms(fn, repeats) if layout == "im2col" or tap_ok else None
+          for layout, fns in runs.items() for part, fn in zip(("fwd", "dW", "dx"), fns)}
+    blocks = f"im2col {blocks_of(runs['im2col'][0])}"
+    if tap_ok:
+        blocks = "taps " + "/".join(str(blocks_of(fn)) for fn in runs["taps"]) + ", " + blocks
+    return ms, blocks
 
 
 def main(argv=None) -> int:
@@ -101,11 +128,11 @@ def main(argv=None) -> int:
     size = args.size or network.preset(args.preset).input_shape[1]
     print(f"{args.preset} at {size} px, batch {args.batch}, best of {args.repeats}, ms\n")
     print("| conv | input | count | fwd im2col | fwd taps | dW im2col | dW taps "
-          "| dx im2col | dx taps | pick |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+          "| dx im2col | dx taps | pick | blocks |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     total = defaultdict(float)
     for (spec, shape), count in conv_shapes(args.preset, size, args.batch).items():
-        ms = time_layouts(spec, shape, args.repeats)
+        ms, blocks = time_layouts(spec, shape, args.repeats)
         oh, ow = tensor.conv_output_hw(spec, shape[2], shape[3])
         pick = "taps" if tensor._on_taps(spec, oh, ow) else "im2col"
         for part in ("fwd", "dW", "dx"):
@@ -119,7 +146,7 @@ def main(argv=None) -> int:
                                        ("dW", "taps"), ("dx", "im2col"), ("dx", "taps")))
         name = (f"{spec.in_channels}->{spec.out_channels} {spec.kernel_h}x{spec.kernel_w}"
                 f" s{spec.stride} p{spec.padding}")
-        print(f"| {name} | {shape[2]}x{shape[3]} | {count} | {cells} | {pick} |")
+        print(f"| {name} | {shape[2]}x{shape[3]} | {count} | {cells} | {pick} | {blocks} |")
     print("\ntotals over every conv (ms; a conv taps cannot run counts at im2col):")
     for part in ("fwd", "dW", "dx"):
         print(f"  {part}: im2col {total[(part, 'im2col')]:.0f}, taps {total[(part, 'taps')]:.0f}, "

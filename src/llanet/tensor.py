@@ -15,25 +15,42 @@ explicitly, so kernels keep no hidden state.
 
 A conv's input is a map or a tuple of maps read as one, their channels in
 order (the attention gate's ``F_pre``, ``F_cur``). Both layouts pad their
-input into a fresh buffer, and a tuple's maps are copied into it directly,
-so the concat is never formed. A conv runs in one of two layouts, picked
-from its shapes alone:
+input into a buffer of their own, and a tuple's maps are copied into it
+directly, so the concat is never formed. A conv runs in one of two layouts,
+picked from its shapes alone:
 
 - im2col: the sliding-window view is copied to a (n, c*kh*kw, oh*ow) column
-  matrix for one GEMM with K = c*kh*kw. Its adjoint takes dW by
-  ``tensordot`` over the window view, and dx by one GEMM into the column
-  shape plus a kh*kw-pass col2im.
+  matrix for one GEMM per image with K = c*kh*kw. Its adjoint takes dW by
+  ``tensordot`` over the window view of the whole padded batch, and dx by
+  one GEMM into the column shape plus a kh*kw-pass col2im.
 - taps (stride 1 only; the kn2row/MEC family of low-memory convs): the input
-  is zero-padded once into (n, c, hp + 1, wp) and viewed flat as
+  is zero-padded into (n, c, hp + 1, wp) and viewed flat as
   (n, c, (hp + 1) * wp). Kernel tap (i, j) reads the slice at offset
   i*wp + j of length oh*wp, which BLAS takes with no copy, so the conv is
   kh*kw GEMMs with K = c and no column matrix. Each output row carries
   wp - ow garbage columns, dropped at the end; the spare row keeps the last
   tap's slice in bounds. The layout has a forward and a weight gradient:
   the latter zero-pads dy to width wp, so the garbage columns add nothing,
-  and dW[:, :, i, j] is one GEMM dy_pad @ tap^T. The input gradient is the
-  tap forward of the transposed conv: dy correlated with the flipped
-  kernel, in and out channels swapped, at padding k - 1 - p.
+  and dW[:, :, i, j] is one GEMM dy_pad @ tap^T per image, the images'
+  products added in image order. The input gradient is the tap forward of
+  the transposed conv: dy correlated with the flipped kernel, in and out
+  channels swapped, at padding k - 1 - p.
+
+The tap forward and dW, and so the tap dx, and the im2col forward walk the
+batch in blocks (``_padded_blocks``): as many images as fit
+``CONV_BLOCK_BYTES`` with their padded input and output (and, for im2col,
+their share of the column matrix), at least one. Each block is padded into
+one reused buffer, and the block's GEMMs run on it. The small-channel convs
+of a ``tiny`` step (K = 3 to 32) are bound by memory traffic, not by FLOPs:
+at batch 35 and 32 px a whole-batch padded input, output and tap partial
+are about 2.4 MB each, so each of the kh*kw tap GEMMs would stream them
+from L3. The budget, 1 MiB, is about half of a core's L2 on the reference
+machine, leaving room for the weights and the partial sums. A batch that
+fits one block takes the loop once on the whole batch, and the largest
+im2col column matrix is one block's. Each image's GEMMs and the order of
+every sum are those of a whole-batch pass, so blocking changes no bit, save
+in the tap dW of a conv with one in and one out channel, whose per-image
+products NumPy sums pairwise rather than in order.
 
 Taps pay a copy of the weight permuted to (kh, kw, o, c) per call and run
 GEMMs with K = c rather than c*kh*kw; both outweigh the saved column matrix
@@ -97,6 +114,14 @@ def _keep_freed_heap() -> bool:
 
 
 _keep_freed_heap()
+
+# Byte budget of one conv batch block: its padded input plus its output, and
+# for im2col its column matrix. About half of a core's 2 MiB L2 on the
+# reference machine, so each tap GEMM of a block reads from L2 rather than
+# L3. A tiny train step at batch 35 (best of 25 steps, one BLAS thread,
+# three runs) took 96-99 ms at 1 MiB, 93-102 ms at 512 KiB, 99-108 ms at
+# 256 KiB, 114-117 ms at 2 MiB and 125-159 ms with no blocking.
+CONV_BLOCK_BYTES = 1 << 20
 
 # Batch norm: variance floor and running-statistics momentum.
 BN_EPS = 1e-5
@@ -205,43 +230,63 @@ def _conv_input_shape(x) -> tuple[int, int, int, int]:
     return n, sum(part.shape[1] for part in parts), h, w
 
 
-def _padded(x, padding: int, spare_rows: int = 0) -> np.ndarray:
-    """A conv input zero-padded by ``padding`` on every side, plus
-    ``spare_rows`` zero rows at the bottom, in one fresh buffer that a pair's
-    maps are copied into directly; a single map with nothing to pad is
-    returned as it is."""
+def _block_images(n: int, per_image: int) -> int:
+    """Images per batch block: as many as fit ``CONV_BLOCK_BYTES`` at
+    ``per_image`` bytes each, at least one and at most the batch."""
+    return max(1, min(n, CONV_BLOCK_BYTES // per_image))
+
+
+def _padded_blocks(x, padding: int, spare_rows: int, images: int):
+    """Yield ``(start, stop, block)`` over the batch of a conv input, ``images``
+    images at a time: ``block`` holds images start:stop zero-padded by
+    ``padding`` on every side, plus ``spare_rows`` zero rows at the bottom.
+
+    Every block is padded into the same buffer, whose border is zeroed once,
+    and a pair's maps are copied into it directly. A single map with nothing
+    to pad is yielded in slices of itself. An empty batch is one empty block."""
     parts = _conv_parts(x)
-    if len(parts) == 1 and not padding and not spare_rows:
-        return parts[0]
     n, c, h, w = _conv_input_shape(x)
+    starts = range(0, max(n, 1), images)
+    if len(parts) == 1 and not padding and not spare_rows:
+        for s in starts:
+            yield s, min(s + images, n), parts[0][s:s + images]
+        return
     p = padding
-    buf = np.empty((n, c, h + 2 * p + spare_rows, w + 2 * p), dtype=np.result_type(*parts))
-    # zero only the border, since every map is copied into the interior
+    buf = np.empty((images, c, h + 2 * p + spare_rows, w + 2 * p), dtype=np.result_type(*parts))
+    # zero only the border, since every block is copied into the interior
     buf[:, :, :p] = 0.0
     buf[:, :, p + h:] = 0.0
     buf[:, :, p:p + h, :p] = 0.0
     buf[:, :, p:p + h, p + w:] = 0.0
-    start = 0
-    for part in parts:
-        buf[:, start:start + part.shape[1], p:p + h, p:p + w] = part
-        start += part.shape[1]
-    return buf
+    for s in starts:
+        e = min(s + images, n)
+        start = 0
+        for part in parts:
+            buf[:e - s, start:start + part.shape[1], p:p + h, p:p + w] = part[s:e]
+            start += part.shape[1]
+        yield s, e, buf[:e - s]
 
 
-def _conv_windows(x, kh, kw, stride, padding):
-    """Read-only sliding-window view (n, c, kh, kw, oh, ow) over the padded input."""
-    n, c, h, w = _conv_input_shape(x)
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    x = _padded(x, padding)
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
+def _windows(xp, kh, kw, stride, oh, ow):
+    """Read-only sliding-window view (n, c, kh, kw, oh, ow) over a padded input."""
+    n, c = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp,
         shape=(n, c, kh, kw, oh, ow),
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    return windows
+
+
+def _conv_windows(x, kh, kw, stride, padding):
+    """Read-only sliding-window view (n, c, kh, kw, oh, ow) over the padded
+    input, the whole batch padded in one buffer."""
+    n, c, h, w = _conv_input_shape(x)
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    (_, _, xp), = _padded_blocks(x, padding, 0, max(n, 1))
+    return _windows(xp, kh, kw, stride, oh, ow)
 
 
 def _on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
@@ -254,40 +299,44 @@ def _on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
             and oh * ow >= k * k * spec.out_channels and k * k * spec.in_channels >= spec.out_channels)
 
 
-def _tap_input(x, spec: ConvSpec) -> np.ndarray:
-    """``x`` zero-padded into (n, c, hp + 1, wp) and viewed as (n, c, (hp + 1) * wp)."""
-    buf = _padded(x, spec.padding, spare_rows=1)
-    return buf.reshape(*buf.shape[:2], -1)
-
-
 def _tap_offsets(spec: ConvSpec, wp: int) -> list[int]:
     """Offset of each kernel tap (i, j), row-major, in a flat map of row width ``wp``."""
     return [i * wp + j for i in range(spec.kernel_h) for j in range(spec.kernel_w)]
 
 
 def _im2col_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    windows = _conv_windows(x, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
-    n = windows.shape[0]
-    cols = windows.reshape(n, spec.in_channels * spec.kernel_h * spec.kernel_w, oh * ow)
-    wmat = weight.reshape(spec.out_channels, -1)
-    return np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
+    n, c, h, w = _conv_input_shape(x)
+    p, o, k = spec.padding, spec.out_channels, c * spec.kernel_h * spec.kernel_w
+    dtype = np.result_type(weight, *_conv_parts(x))
+    images = _block_images(n, dtype.itemsize * (c * (h + 2 * p) * (w + 2 * p) + (k + o) * oh * ow))
+    wmat = weight.reshape(o, k)
+    out = np.empty((n, o, oh * ow), dtype=dtype)
+    for s, e, block in _padded_blocks(x, p, 0, images):
+        cols = _windows(block, spec.kernel_h, spec.kernel_w, spec.stride, oh, ow)
+        np.matmul(wmat, cols.reshape(e - s, k, oh * ow), out=out[s:e])
+    return out.reshape(n, o, oh, ow)
 
 
 def _tap_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     """Tap-layout conv; returns a (n, o, oh, ow) view of the (n, o, oh, wp) sums."""
-    n, _, _, w = _conv_input_shape(x)
-    wp = w + 2 * spec.padding
+    n, c, h, w = _conv_input_shape(x)
+    p, o = spec.padding, spec.out_channels
+    wp = w + 2 * p
     span = oh * wp
-    flat = _tap_input(x, spec)
+    dtype = np.result_type(weight, *_conv_parts(x))
+    images = _block_images(n, dtype.itemsize * (c * (h + 2 * p + 1) + o * oh) * wp)
     # the weight as a contiguous (kh*kw, o, c), taps in row-major order: numpy
     # would copy a strided weight[:, :, i, j] on every GEMM it is passed to
-    taps = weight.transpose(2, 3, 0, 1).reshape(-1, *weight.shape[:2])
+    taps = weight.transpose(2, 3, 0, 1).reshape(-1, o, c)
     (w0, off0), *rest = zip(taps, _tap_offsets(spec, wp))
-    out = np.matmul(w0, flat[:, :, off0:off0 + span])
-    part = np.empty_like(out)
-    for w_t, off in rest:
-        out += np.matmul(w_t, flat[:, :, off:off + span], out=part)
-    return out.reshape(n, spec.out_channels, oh, wp)[..., :ow]
+    out = np.empty((n, o, span), dtype=dtype)
+    part = np.empty((images, o, span), dtype=dtype)
+    for s, e, block in _padded_blocks(x, p, 1, images):
+        flat, tap = block.reshape(e - s, c, -1), part[:e - s]
+        acc = np.matmul(w0, flat[:, :, off0:off0 + span], out=out[s:e])
+        for w_t, off in rest:
+            acc += np.matmul(w_t, flat[:, :, off:off + span], out=tap)
+    return out.reshape(n, o, oh, wp)[..., :ow]
 
 
 def _im2col_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
@@ -297,14 +346,31 @@ def _im2col_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
 
 def _tap_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
     n, o, oh, ow = dy.shape
-    wp = _conv_input_shape(x)[3] + 2 * spec.padding
-    flat = _tap_input(x, spec)
+    _, c, h, w = _conv_input_shape(x)
+    p = spec.padding
+    wp = w + 2 * p
+    span = oh * wp
+    offsets = _tap_offsets(spec, wp)
+    dtype = np.result_type(dy, *_conv_parts(x))
+    images = _block_images(n, dtype.itemsize * (c * (h + 2 * p + 1) + o * oh) * wp)
     # dy zero-padded to width wp, so the garbage columns of each tap add nothing
-    dyf = np.zeros((n, o, oh * wp), dtype=dy.dtype)
-    dyf.reshape(n, o, oh, wp)[..., :ow] = dy
-    dw = np.stack([np.matmul(dyf, flat[:, :, off:off + oh * wp].transpose(0, 2, 1)).sum(axis=0)
-                   for off in _tap_offsets(spec, wp)], axis=-1)
-    return dw.reshape(spec.weight_shape)
+    dyf = np.zeros((images, o, span), dtype=dtype)
+    # each tap's per-image products go to rows 1.., and after the first block
+    # row 0 carries the tap's sum so far: NumPy sums rows in order, so the
+    # products are added in image order, as one sum over the batch adds them
+    # (except for a 1 x 1-channel dW, whose rows it sums pairwise)
+    prods = np.empty((images + 1, o, c), dtype=dtype)
+    dw = np.zeros((len(offsets), o, c), dtype=dtype)
+    for s, e, block in _padded_blocks(x, p, 1, images):
+        flat = block.reshape(e - s, c, -1)
+        d = dyf[:e - s]
+        d.reshape(e - s, o, oh, wp)[..., :ow] = dy[s:e]
+        images_rows, summed_rows = prods[1:e - s + 1], prods[0 if s else 1:e - s + 1]
+        for dw_t, off in zip(dw, offsets):
+            prods[0] = dw_t
+            np.matmul(d, flat[:, :, off:off + span].transpose(0, 2, 1), out=images_rows)
+            summed_rows.sum(axis=0, out=dw_t)
+    return dw.transpose(1, 2, 0).reshape(spec.weight_shape)
 
 
 def _im2col_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:

@@ -93,6 +93,37 @@ def channel_moments_naive(x):
     return means, variances
 
 
+def batchnorm_adjoint_naive(x, gamma, dy, mean, var, eps, train):
+    """Batch norm's input, gamma and beta gradients, channel by channel.
+
+    The textbook formula (Ioffe & Szegedy, 2015): with dxhat = gamma * dy,
+    train mode gives dx = inv / m * (m * dxhat - s1 - xhat * s2), where
+    s1 = sum(dxhat) and s2 = sum(dxhat * xhat) over the channel's m values;
+    eval mode, whose statistics are constants, gives dx = dxhat * inv. Every
+    sum is a correctly rounded ``math.fsum``. Returns (dx, dgamma, dbeta).
+    """
+    n, c, h, w = x.shape
+    m = n * h * w
+    dx = np.empty_like(x)
+    dgamma = np.empty(c)
+    dbeta = np.empty(c)
+    for ci in range(c):
+        inv = 1.0 / math.sqrt(var[ci] + eps)
+        xhat = [(v - mean[ci]) * inv for v in x[:, ci].ravel()]
+        dys = list(dy[:, ci].ravel())
+        dxhat = [g * gamma[ci] for g in dys]
+        dgamma[ci] = math.fsum(g * xh for g, xh in zip(dys, xhat))
+        dbeta[ci] = math.fsum(dys)
+        if train:
+            s1 = math.fsum(dxhat)
+            s2 = math.fsum(d * xh for d, xh in zip(dxhat, xhat))
+            vals = [inv / m * (m * d - s1 - xh * s2) for d, xh in zip(dxhat, xhat)]
+        else:
+            vals = [d * inv for d in dxhat]
+        dx[:, ci] = np.reshape(vals, (n, h, w))
+    return dx, dgamma, dbeta
+
+
 def softmax_ce_mp(logits, labels, dps=50):
     """Softmax cross-entropy at 50 decimal digits of precision."""
     with mp.workdps(dps):

@@ -616,6 +616,31 @@ def test_eval_batchnorm_adjoint_reads_the_stats_its_forward_used():
     npt.assert_allclose(grads["gamma"], xhat.sum(axis=(0, 2, 3)), atol=1e-12)
 
 
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("shape", [(4, 3, 5, 5), (2, 5, 7, 3)])
+def test_batchnorm_adjoint_matches_the_textbook_formula(train, shape):
+    # channel 0 has a zero gamma, channel 1 is near constant (var << eps)
+    rng = np.random.default_rng(26)
+    xv = rng.standard_normal(shape) * 2.0 + 0.5
+    xv[:, 1] = 3.0 + 1e-7 * rng.standard_normal(xv[:, 1].shape)
+    gv = rng.standard_normal(shape[1])
+    gv[0] = 0.0
+    x, gamma = Param("x", xv), Param("gamma", gv)
+    beta = Param("beta", rng.standard_normal(shape[1]))
+    stats = RunningStats(rng.standard_normal(shape[1]), rng.uniform(0.5, 2.0, shape[1]))
+    mean, var = tensor.batch_moments(xv) if train else (stats.mean.copy(), stats.var.copy())
+    dy = rng.standard_normal(shape)
+    g = GradGraph()
+    y = g.batchnorm2d(g.leaf(x), g.leaf(gamma), g.leaf(beta), stats, train=train,
+                      update_running=False)
+    grads = g.backward(g.weighted_sum(y, dy))
+    want = oracles.batchnorm_adjoint_naive(xv, gv, dy, mean, var, tensor.BN_EPS, train)
+    for name, ref in zip(("x", "gamma", "beta"), want):
+        npt.assert_allclose(grads[name], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(),
+                            err_msg=name)
+    assert not grads["x"][:, 0].any()
+
+
 def test_graph_batchnorm_rejects_what_the_kernel_rejects():
     g = GradGraph()
     x = g.constant(np.zeros((2, 3, 2, 2)))

@@ -1,5 +1,7 @@
 """Forward kernels: contracts, invariants, and nested-loop oracle equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -96,6 +98,80 @@ def test_conv_of_a_pair_is_the_conv_of_its_concat_bit_for_bit(kernel, side, chan
     with pytest.raises(DimensionError) as e:
         tensor.conv2d((a, b, b), weight, bias, spec)
     assert e.value.axis == "channels"
+
+
+def spy_blocks(monkeypatch):
+    """Record the (start, stop) of every block of every ``_padded_blocks`` walk."""
+    walks = []
+    blocks = tensor._padded_blocks
+
+    def spy(*args):
+        walks.append([])
+        for start, stop, block in blocks(*args):
+            walks[-1].append((start, stop))
+            yield start, stop, block
+
+    monkeypatch.setattr(tensor, "_padded_blocks", spy)
+    return walks
+
+
+@pytest.mark.parametrize("budget", [21000, 1])  # a short last block; every image over budget
+@pytest.mark.parametrize("pair", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])  # taps, im2col
+def test_conv_batch_blocks_are_bit_identical_to_one_block(monkeypatch, stride, pair, budget):
+    rng = np.random.default_rng(40)
+    spec = ConvSpec(4, 5, 3, 3, stride=stride, padding=1)
+    a, b = rand(rng, 5, 2, 8, 8), rand(rng, 5, 3, 8, 8)
+    x = (a, b) if pair else np.concatenate([a, b], axis=1)
+    weight, bias = rand(rng, *spec.weight_shape), rand(rng, 4)
+    oh, ow = tensor.conv_output_hw(spec, 8, 8)
+    on_taps = tensor._on_taps(spec, oh, ow)
+    assert on_taps == (stride == 1)
+    dy = rand(rng, 5, 4, oh, ow)
+
+    def run():
+        return (tensor.conv2d(x, weight, bias, spec), tensor.conv2d_weight_grad(x, dy, spec),
+                tensor.conv2d_input_grad(weight, dy, spec, 8, 8))
+
+    walks = spy_blocks(monkeypatch)
+    whole = run()
+    assert walks and all(walk == [(0, 5)] for walk in walks)
+    walks.clear()
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", budget)
+    for got, want in zip(run(), whole):
+        assert got.tobytes() == want.tobytes()
+    # taps block the forward, dW and dx; im2col only the forward (its dW
+    # pads the whole batch in one block, and its dx pads nothing)
+    if on_taps:
+        assert len(walks) == 3
+    else:
+        assert len(walks) == 2 and walks[1] == [(0, 5)]
+        walks = walks[:1]
+    for walk in walks:
+        sizes = [stop - start for start, stop in walk]
+        assert walk[0][0] == 0 and walk[-1][1] == 5 and sum(sizes) == 5
+        if budget == 1:
+            assert sizes == [1] * 5
+        else:
+            assert len(sizes) > 1 and sizes[-1] < sizes[0]
+
+
+def test_blocked_im2col_forward_never_forms_the_whole_column_matrix(monkeypatch):
+    rng = np.random.default_rng(41)
+    spec = ConvSpec(2, 8, 3, 3, stride=2, padding=1, has_bias=False)
+    x, weight = rand(rng, 8, 8, 16, 16), rand(rng, *spec.weight_shape)
+    assert not tensor._on_taps(spec, 8, 8)
+    whole = tensor.conv2d(x, weight, None, spec)
+    columns = x.shape[0] * 8 * 9 * 8 * 8 * x.itemsize  # (n, c*kh*kw, oh*ow)
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 1)
+    tracemalloc.start()
+    try:
+        out = tensor.conv2d(x, weight, None, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == whole.tobytes()
+    assert peak < columns / 4
 
 
 def test_conv_spec_validation():
