@@ -4,8 +4,8 @@ Commands: ``rebalance`` (manifest thinning + supplementation), ``train``,
 ``eval``, ``gradcheck`` (finite-difference verification), and
 ``dump-attention`` (export a module's attention mask).
 
-Exit codes are uniform: 0 success, 1 runtime failure (I/O, numeric), 2
-usage or validation failure (bad flags, malformed config/manifest).
+Exit codes are uniform: 0 success, 1 runtime failure (I/O, numeric, out of
+memory), 2 usage or validation failure (bad flags, malformed config/manifest).
 """
 
 from __future__ import annotations
@@ -87,17 +87,21 @@ def _load_split(cfg: RunConfig, which: str) -> LoadedDataset:
     manifest = data_mod.read_manifest(path)
     if len(manifest) == 0:
         raise ConfigError([f"/data/{which}_manifest: {path} has no records"])
+    top = max(r.label for r in manifest)
+    if top >= cfg.network.num_classes:
+        raise ConfigError([f"/network/num_classes: {cfg.network.num_classes} classes "
+                           f"cannot hold label {top} of {path}"])
     return LoadedDataset.from_manifest(manifest, path.parent)
 
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
+    train_data = _load_split(cfg, "train")
+    val_data = _load_split(cfg, "val") if cfg.val_manifest else train_data
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out)
 
-    train_data = _load_split(cfg, "train")
-    val_data = _load_split(cfg, "val") if cfg.val_manifest else train_data
     store = init_network(cfg.network)
 
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as log:
@@ -122,10 +126,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
+    dataset = _load_split(cfg, "val" if cfg.val_manifest else "train")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    dataset = _load_split(cfg, "val" if cfg.val_manifest else "train")
     store = init_network(cfg.network)
     load_checkpoint(args.checkpoint, store, cfg.network)
 
@@ -262,6 +266,8 @@ def main(argv=None) -> int:
         return _fail(f"manifest: {e}", USAGE_ERROR)
     except (CheckpointError, data_mod.ImageFormatError, OSError, ValueError) as e:
         return _fail(str(e), RUNTIME_ERROR)
+    except MemoryError as e:
+        return _fail(f"out of memory: {e}", RUNTIME_ERROR)
 
 
 if __name__ == "__main__":

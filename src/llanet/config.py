@@ -1,7 +1,8 @@
 """Run configuration: a JSON document validated against a strict schema.
 
-Unknown keys are rejected (catching typos like "weight_dacay"), missing keys
-take the documented defaults, and the fully resolved document is echoed into
+Unknown keys are rejected (catching typos like "weight_dacay"), so are NaN
+and infinite numbers, which Python's ``json`` reads; missing keys take the
+documented defaults, and the fully resolved document is echoed into
 the output directory so every run is self-describing. The ``LLA_SEED``
 environment variable overrides the configured seed.
 """
@@ -9,7 +10,9 @@ environment variable overrides the configured seed.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -77,13 +80,10 @@ SCHEMA = {
 
 DEFAULTS = {
     "seed": 0,
-    "network": {
-        "preset": "tiny",
-        "attention": "learned",
-        "attention_kernel": 3,
-        "num_classes": 7,
-        "input_channels": 3,
-    },
+    # the keyword defaults of preset(); the top-level seed feeds its seed
+    "network": {"preset": "tiny", **{name: p.default for name, p in
+                                     inspect.signature(preset).parameters.items()
+                                     if p.kind is p.KEYWORD_ONLY and name != "seed"}},
     # the top-level seed (or LLA_SEED) feeds TrainConfig.seed
     "train": {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"},
     "data": {
@@ -123,6 +123,18 @@ def _pointer(path) -> str:
     return "/" + "/".join(str(p) for p in path) if path else "/"
 
 
+def _non_finite(node, path=()):
+    """A diagnostic for every NaN or infinite number in a JSON document."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield f"{_pointer(path)}: {json.dumps(node)} is not a finite number"
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _non_finite(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _non_finite(value, (*path, i))
+
+
 def _merge_defaults(doc: dict, defaults: dict) -> dict:
     out = copy.deepcopy(defaults)
     for key, value in doc.items():
@@ -151,6 +163,9 @@ def load_run_config(source, base_dir=None, env=None) -> RunConfig:
         doc = source
     if not isinstance(doc, dict):
         raise ConfigError(["/: top level must be a JSON object"])
+    problems = list(_non_finite(doc))
+    if problems:
+        raise ConfigError(problems)
 
     validator = jsonschema.Draft202012Validator(SCHEMA)
     problems = [f"{_pointer(e.absolute_path)}: {e.message}"
@@ -168,14 +183,9 @@ def load_run_config(source, base_dir=None, env=None) -> RunConfig:
                                f"got {env[SEED_ENV_VAR]!r}"])
         seed = merged["seed"] = int(text)
 
-    net_sec = merged["network"]
+    rest = dict(merged["network"])
     try:
-        net_cfg = preset(net_sec["preset"],
-                         input_channels=net_sec["input_channels"],
-                         attention=net_sec["attention"],
-                         attention_kernel=net_sec["attention_kernel"],
-                         num_classes=net_sec["num_classes"],
-                         seed=seed)
+        net_cfg = preset(rest.pop("preset"), seed=seed, **rest)
     except ValueError as e:
         raise ConfigError([f"/network: {e}"]) from None
 

@@ -34,8 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .attention import AttentionParams, attention_conv_spec, attention_forward_graph, \
-    init_attention, kaiming_uniform
+from .attention import attention_conv_spec, attention_forward_graph
 from .autodiff import GradGraph, Node, Param
 from .data import atomic_open
 from .tensor import ConvSpec, DEFAULT_DTYPE, RunningStats, conv_output_hw
@@ -277,17 +276,30 @@ def feature_shape(cfg: NetworkConfig) -> tuple[int, int, int]:
 # -- initialization ------------------------------------------------------------
 
 
+def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Uniform fan-in initialization: U(-b, b) with b = sqrt(6 / fan_in)."""
+    bound = np.sqrt(6.0 / fan_in)
+    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
+
+
 def _add_layer(store, layer: Layer, rng, attention: str):
+    """Create ``layer``'s params in ``store``, drawing its weight from ``rng``.
+
+    A gate's weight is zeros, with no draw, in "frozen" mode, which pins its
+    mask at 0.5; its weight and bias are trainable only in "learned" mode.
+    """
     spec = layer.spec
-    if layer.kind == "gate":
-        gate = init_attention(spec.out_channels, spec.kernel_h, rng, prefix=layer.prefix,
-                              trainable=attention == "learned", zero=attention == "frozen")
-        store.add(gate.weight)
-        store.add(gate.bias)
-        return
     fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
-    store.add(Param(f"{layer.prefix}.weight", kaiming_uniform(rng, spec.weight_shape, fan_in)))
-    if layer.kind == "conv_bn":
+    if layer.kind == "gate" and attention == "frozen":
+        weight = np.zeros(spec.weight_shape, dtype=DEFAULT_DTYPE)
+    else:
+        weight = kaiming_uniform(rng, spec.weight_shape, fan_in)
+    trainable = layer.kind != "gate" or attention == "learned"
+    store.add(Param(f"{layer.prefix}.weight", weight, trainable=trainable))
+    if layer.kind == "gate":
+        store.add(Param(f"{layer.prefix}.bias", np.zeros(spec.out_channels, dtype=DEFAULT_DTYPE),
+                        trainable=trainable, decay_exempt=True))
+    elif layer.kind == "conv_bn":
         ch = spec.out_channels
         store.add(Param(f"{layer.bn}.gamma", np.ones(ch, dtype=DEFAULT_DTYPE), decay_exempt=True))
         store.add(Param(f"{layer.bn}.beta", np.zeros(ch, dtype=DEFAULT_DTYPE), decay_exempt=True))
@@ -301,9 +313,9 @@ def init_network(cfg: NetworkConfig) -> ParamStore:
     Walks the stem layer, then each module's ``layers`` in order, then the
     head, drawing every random init from one generator in that order. Conv
     weights are Kaiming-uniform (no conv biases: a batch norm follows every
-    "conv_bn" layer), batch norm starts at gamma=1, beta=0; a gate layer is
-    made by ``init_attention`` (zero and frozen in "frozen" mode), and the
-    head gets its own init.
+    "conv_bn" layer), batch norm starts at gamma=1, beta=0; a gate layer gets
+    a zero bias, and its weight is zero and frozen in "frozen" mode; the head
+    gets its own init.
     """
     rng = np.random.default_rng(cfg.seed)
     store = ParamStore()
@@ -363,9 +375,9 @@ def _combined_module_graph(graph, f_in: Node, store, m: ModulePlan,
     f_pre = _layer_graph(graph, f_in, store, layers.get("align"), train, update_running)
     gate = layers.get("gate")
     if gate is not None:
-        params = AttentionParams(weight=store[f"{gate.prefix}.weight"],
-                                 bias=store[f"{gate.prefix}.bias"], spec=gate.spec)
-        refined, mask = attention_forward_graph(graph, f_pre, f_cur, params)
+        refined, mask = attention_forward_graph(graph, f_pre, f_cur,
+                                                store[f"{gate.prefix}.weight"],
+                                                store[f"{gate.prefix}.bias"], gate.spec)
     else:
         refined, mask = f_cur, None
     return ModuleTrace(m.name, f_in, f_pre, f_cur, mask, refined)

@@ -47,15 +47,16 @@ class TrainConfig:
     decay_exempt_norm_bias: bool = True
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be > 0")
+        # each bound is written so that NaN fails it too
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError("base_lr must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if not 0.0 < self.decay_rate <= 1.0:
             raise ValueError("decay_rate must be in (0, 1]")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.decay_start_epoch < 0:
+        if not (self.batch_size >= 1 and self.max_epochs >= 1 and self.decay_start_epoch >= 0):
             raise ValueError("batch_size/max_epochs must be >= 1, decay_start_epoch >= 0")
 
 

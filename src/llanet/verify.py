@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import attention_forward_graph, init_attention
+from .attention import attention_conv_spec, attention_forward_graph
 from .autodiff import GradCheckReport, GradGraph, Param, grad_check
-from .network import init_network, network_loss_graph, preset
+from .network import Layer, ParamStore, _add_layer, init_network, network_loss_graph, preset
 from .tensor import ConvSpec, RunningStats
 
 RELU_KINK_MARGIN = 0.1
@@ -112,10 +112,13 @@ def check_softmax_cross_entropy(eps, rng):
 def check_attention_gate(eps, rng):
     f_pre = _param(rng, "f_pre", (1, 2, 3, 3))
     f_cur = _param(rng, "f_cur", (1, 2, 3, 3))
-    gate = init_attention(2, 3, rng, prefix="gate")
+    layer, gate = Layer("gate", "gate", attention_conv_spec(2, 3)), ParamStore()
+    _add_layer(gate, layer, rng, "learned")
+    weight, bias = gate
     # the gate enters its own weight and bias; the repeated leaves are the same nodes
-    return _probed(eps, rng, [f_pre, f_cur, gate.weight, gate.bias],
-                   lambda g, f_pre, f_cur, *_: attention_forward_graph(g, f_pre, f_cur, gate)[0],
+    return _probed(eps, rng, [f_pre, f_cur, weight, bias],
+                   lambda g, f_pre, f_cur, *_: attention_forward_graph(
+                       g, f_pre, f_cur, weight, bias, layer.spec)[0],
                    f_cur.value.shape)
 
 

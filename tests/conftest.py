@@ -13,7 +13,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from llanet import demo
+from llanet.attention import attention_conv_spec
 from llanet.data import DatasetManifest, SampleRecord
+from llanet.network import Layer, ParamStore, _add_layer
 from llanet.training import LoadedDataset, Normalization
 from llanet.data import read_manifest
 
@@ -39,6 +41,14 @@ IMBALANCE_QUOTAS = {ANGER: 24242, DISGUST: 5062, FEAR: 6192}
 EXPECTED_AFTER = {ANGER: 49876, DISGUST: 16552, FEAR: 25471, HAPPY: 86164,
                   SAD: 102934, SURPRISE: 43306, NEUTRAL: 46073}
 EXPECTED_TOTAL_AFTER = 370376
+
+
+def make_gate(channels, kernel, rng, attention="learned", prefix="attn"):
+    """One gate's ``(weight, bias, spec)``, made by the network's own layer init."""
+    layer, store = Layer(prefix, "gate", attention_conv_spec(channels, kernel)), ParamStore()
+    _add_layer(store, layer, rng, attention)
+    weight, bias = store
+    return weight, bias, layer.spec
 
 
 def records_for_runs(label: int, run_lengths, tag: str):

@@ -18,9 +18,9 @@ import pytest
 
 import oracles
 from conftest import (EXPECTED_AFTER, EXPECTED_TOTAL_AFTER, IMBALANCE_K, IMBALANCE_QUOTAS,
-                      build_imbalance_manifests)
+                      build_imbalance_manifests, make_gate)
 from llanet import tensor
-from llanet.attention import attention_forward, init_attention
+from llanet.attention import attention_forward
 from llanet.cli import main as cli_main
 from llanet.data import (DatasetManifest, LABEL_NAMES, SampleRecord, rebalance, ten_crop,
                          undersample_sequences)
@@ -160,8 +160,8 @@ def test_criterion_5_attention_invariants():
         h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         f_pre = rng.standard_normal((1, c, h, w)) * rng.uniform(0.1, 3.0)
         f_cur = rng.standard_normal((1, c, h, w)) * rng.uniform(0.1, 3.0)
-        params = init_attention(c, 3, rng, prefix=f"t{trial}")
-        refined, mask = attention_forward(f_pre, f_cur, params)
+        gate = make_gate(c, 3, rng)
+        refined, mask = attention_forward(f_pre, f_cur, *gate)
 
         assert mask.shape == f_cur.shape and refined.shape == f_cur.shape
         assert np.all(mask > 0.0) and np.all(mask < 1.0), "mask left (0,1)"
@@ -170,7 +170,7 @@ def test_criterion_5_attention_invariants():
         assert np.all(refined[~nz] == 0.0)
 
         shifted, _ = attention_forward(f_pre + rng.standard_normal(f_pre.shape),
-                                       f_cur, params)
+                                       f_cur, *gate)
         assert np.max(np.abs(shifted - refined)) > 0.0, \
             "perturbing the previous features did not reach the output"
     passline(5, "1000 random triples: mask strictly in (0,1), strict attenuation, "

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import oracles
+from conftest import make_gate
 from llanet import attention, autodiff, network, tensor
 from llanet.autodiff import GradGraph, Param, grad_check, relative_error
 from llanet.tensor import ConvSpec, DimensionError, FORWARD_KERNELS, RunningStats
@@ -852,8 +853,8 @@ def test_inference_records_no_tape(monkeypatch):
     with pytest.raises(RuntimeError):
         g.backward(ones_probe(g, trace.logits))
     made = spy_graphs(monkeypatch, attention)
-    gate = attention.init_attention(1, 3, np.random.default_rng(0))
-    attention.attention_forward(x[:, :1], x[:, 1:2], gate)
+    gate = make_gate(1, 3, np.random.default_rng(0))
+    attention.attention_forward(x[:, :1], x[:, 1:2], *gate)
     assert [g._tape for g in made] == [[]]
 
 

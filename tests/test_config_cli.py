@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +93,13 @@ def test_config_file_with_bad_json(tmp_path):
     with pytest.raises(ConfigError) as e:
         load_run_config(path)
     assert any("not valid JSON" in p for p in e.value.errors)
+
+
+def test_infinite_numbers_in_a_config_dict_are_refused():
+    with pytest.raises(ConfigError) as e:
+        load_run_config({"data": {"std": [0.5, math.inf, -math.inf]}})
+    assert e.value.errors == ["/data/std/1: Infinity is not a finite number",
+                              "/data/std/2: -Infinity is not a finite number"]
 
 
 def test_top_level_must_be_object():
@@ -310,6 +318,16 @@ def test_train_cli_rejects_bad_config(tmp_path):
     assert run_cli("train", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
+def test_train_cli_rejects_a_nan_token(cli_root, tmp_path, capsys):
+    # Python's json reads the NaN token that json.dumps writes for a NaN
+    config = with_changes(cli_root, tmp_path, "nan.json", train={"base_lr": math.nan})
+    assert '"base_lr": NaN' in config.read_text()
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", config, "--out", out) == 2
+    assert "/train/base_lr: NaN is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trained_run(cli_root, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -384,6 +402,31 @@ def test_eval_cli_names_a_checkpoint_entry_name_that_is_not_utf8(trained_run, tm
                  "--checkpoint", bad, "--out", tmp_path / "o")
     assert rc == 1
     assert f"{bad}: the name of entry 0 is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_refuses_fewer_classes_than_the_manifest_labels(command, cli_root, trained_run,
+                                                            tmp_path, capsys):
+    config = with_changes(cli_root, tmp_path, "three.json", network={"num_classes": 3})
+    checkpoint = ("--checkpoint", trained_run / "best.ckpt") if command == "eval" else ()
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", config, *checkpoint, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "/network/num_classes: 3 classes cannot hold label 6" in err
+    assert str(cli_root / "train.csv") in err
+    assert not out.exists()
+
+
+def test_out_of_memory_ends_with_one_line(monkeypatch, capsys):
+    message = "Unable to allocate 8.00 PiB for an array with shape (2**50,) and data type float64"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_suite", exhausted)
+    assert run_cli("gradcheck", "--preset", "ops") == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: out of memory: {message}\n" and out == ""
 
 
 def test_dump_attention_cli(cli_root, trained_run, tmp_path):

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import math
 import tracemalloc
 import weakref
 
@@ -59,6 +60,10 @@ def test_lr_rejects_negative_epoch():
 
 
 def test_train_config_validation():
+    for bad in ("base_lr", "momentum", "weight_decay", "decay_rate"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                TrainConfig(**{bad: value})
     with pytest.raises(ValueError):
         TrainConfig(base_lr=0.0)
     with pytest.raises(ValueError):
