@@ -1,4 +1,4 @@
-"""Memory of one train step of a network preset: what its tape keeps, and the peak RSS.
+"""Memory of one train step of a network preset (tape, peak RSS) and of its eval forward.
 
 Usage: python3 scripts/step_memory.py PRESET [--size PX] [--batch N]
 
@@ -16,7 +16,10 @@ thread, and reads the process's peak RSS from
 ``resource.getrusage`` after it; the peak covers the whole process, weights
 and batch included. Then it runs the step's forward once more under
 ``tracemalloc`` and prints the traced bytes the forward leaves alive when
-``backward`` would start: the tape, the forward trace and the loss.
+``backward`` would start: the tape, the logits and the loss. Last, it prints
+the ``tracemalloc`` peak of one no-record ``network.network_forward`` on the
+same batch, what evaluation runs: the maps of one module at a time plus a
+conv's working buffers.
 
 A step that does not fit ends with a ``MemoryError`` message and exit 1.
 Cap the address space of the shell it runs in (``ulimit -v`` KiB) to get
@@ -88,15 +91,21 @@ def main(argv=None) -> int:
         try:
             taped = forward()
             kept = tracemalloc.get_traced_memory()[0]
+            del taped
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            network.network_forward(x, store, cfg)
+            eval_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        del taped
     except MemoryError as e:
         print(f"does not fit: MemoryError {e}".rstrip(), file=sys.stderr)
         return 1
-    print("| forward s | backward + sgd s | forward leaves alive MiB | peak RSS MiB |")
-    print("|---|---|---|---|")
-    print(f"| {t1 - t0:.2f} | {t2 - t1:.2f} | {kept / MIB:.0f} | {peak / MIB:.0f} |")
+    print("| forward s | backward + sgd s | forward leaves alive MiB | peak RSS MiB "
+          "| eval forward peak MiB |")
+    print("|---|---|---|---|---|")
+    print(f"| {t1 - t0:.2f} | {t2 - t1:.2f} | {kept / MIB:.0f} | {peak / MIB:.0f} "
+          f"| {eval_peak / MIB:.0f} |")
     return 0
 
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .config import ConfigError, RunConfig, echo_config, load_run_config
 from .data import LABEL_NAMES, ManifestError
 from .metrics import metrics_report
 from .network import (CheckpointError, init_network, load_checkpoint,
-                      module_plan, network_forward_graph)
+                      module_plan, network_modules_graph)
 from .training import LoadedDataset, evaluate, fit
 from .verify import run_suite
 
@@ -79,7 +80,15 @@ def cmd_rebalance(args) -> int:
     return 0
 
 
-def _load_split(cfg: RunConfig, which: str) -> LoadedDataset:
+def _channels_message(image_path, img, channels: int) -> str:
+    return (f"/network/input_channels: the network reads {channels}-channel images, "
+            f"{image_path} has {img.channels}")
+
+
+def _load_split(cfg: RunConfig, which: str, evaluated: bool) -> LoadedDataset:
+    """Load a manifest's images, refusing what the network cannot read: an
+    image with another channel count and, for the split that ``evaluate``
+    crops (``evaluated``), one smaller than ``eval_crop``."""
     rel = cfg.train_manifest if which == "train" else cfg.val_manifest
     if rel is None:
         raise ConfigError([f"/data/{which}_manifest: required for this command"])
@@ -91,13 +100,23 @@ def _load_split(cfg: RunConfig, which: str) -> LoadedDataset:
     if top >= cfg.network.num_classes:
         raise ConfigError([f"/network/num_classes: {cfg.network.num_classes} classes "
                            f"cannot hold label {top} of {path}"])
-    return LoadedDataset.from_manifest(manifest, path.parent)
+    dataset = LoadedDataset.from_manifest(manifest, path.parent)
+    channels, crop = cfg.network.input_shape[0], cfg.eval_crop if evaluated else None
+    for rec, img in zip(dataset.records, dataset.images):
+        image_path = path.parent / rec.image_path
+        if img.channels != channels:
+            raise ConfigError([_channels_message(image_path, img, channels)])
+        if crop is not None and crop > min(img.height, img.width):
+            raise ConfigError([f"/data/eval_crop: {crop} exceeds the {img.height}x{img.width} "
+                               f"image {image_path}"])
+    return dataset
 
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    train_data = _load_split(cfg, "train")
-    val_data = _load_split(cfg, "val") if cfg.val_manifest else train_data
+    # validation evaluates the train split when there is no val manifest
+    train_data = _load_split(cfg, "train", evaluated=not cfg.val_manifest)
+    val_data = _load_split(cfg, "val", evaluated=True) if cfg.val_manifest else train_data
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out)
@@ -126,12 +145,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
-    dataset = _load_split(cfg, "val" if cfg.val_manifest else "train")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    dataset = _load_split(cfg, "val" if cfg.val_manifest else "train", evaluated=True)
     store = init_network(cfg.network)
     load_checkpoint(args.checkpoint, store, cfg.network)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     cm, predictions = evaluate(store, dataset, cfg.network, cfg.norm,
                                crop_size=cfg.eval_crop, use_tencrop=args.tencrop)
@@ -180,14 +198,17 @@ def cmd_dump_attention(args) -> int:
     load_checkpoint(args.checkpoint, store, cfg.network)
 
     img = data_mod.load_image(args.image)
+    if img.channels != cfg.network.input_shape[0]:
+        return _fail(_channels_message(args.image, img, cfg.network.input_shape[0]), USAGE_ERROR)
     x = data_mod.to_tensor(img, cfg.norm.mean, cfg.norm.std)
     plan = module_plan(cfg.network)
     if not 0 <= args.module_index < len(plan):
         return _fail(f"module index {args.module_index} out of range "
                      f"[0, {len(plan)})", USAGE_ERROR)
 
-    trace = network_forward_graph(GradGraph(record=False), x, store, cfg.network, train=False)
-    mask = trace.modules[args.module_index].mask.value[0]  # (C, H, W)
+    # the modules after the one asked for, and the head, never run
+    modules = network_modules_graph(GradGraph(record=False), x, store, cfg.network, train=False)
+    mask = next(islice(modules, args.module_index, None))[1].value[0]  # (C, H, W)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

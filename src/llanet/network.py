@@ -28,8 +28,8 @@ import functools
 import hashlib
 import json
 import struct
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -332,26 +332,6 @@ def init_network(cfg: NetworkConfig) -> ParamStore:
 # -- forward -------------------------------------------------------------------
 
 
-@dataclass
-class ModuleTrace:
-    """Intermediate nodes of one combined module, for tests and mask dumps."""
-
-    name: str
-    f_in: Node        # module input: the previous module's output, or the stem's
-    f_pre: Node       # f_in after alignment (same node when identity)
-    f_cur: Node       # residual block output
-    mask: Node | None
-    refined: Node     # module output
-
-
-@dataclass
-class ForwardTrace:
-    stem: Node
-    modules: list[ModuleTrace] = field(default_factory=list)
-    features: Node = None
-    logits: Node = None
-
-
 def _layer_graph(graph, x, store, layer: Layer | None, train, update_running):
     """A "conv_bn" or "conv" layer on ``x``; a layer the module lacks (None),
     such as the shortcut of a block that keeps its shape, is the identity."""
@@ -366,7 +346,9 @@ def _layer_graph(graph, x, store, layer: Layer | None, train, update_running):
 
 
 def _combined_module_graph(graph, f_in: Node, store, m: ModulePlan,
-                           train, update_running) -> ModuleTrace:
+                           train, update_running) -> tuple[Node, Node | None]:
+    """One combined module on ``f_in``; returns its ``(output, mask)``, the
+    mask None with attention off, where the output is the block's own."""
     layers = m.layers
     y = graph.relu(_layer_graph(graph, f_in, store, layers["conv1"], train, update_running))
     y = _layer_graph(graph, y, store, layers["conv2"], train, update_running)
@@ -374,53 +356,54 @@ def _combined_module_graph(graph, f_in: Node, store, m: ModulePlan,
     f_cur = graph.relu(graph.add(y, sc))
     f_pre = _layer_graph(graph, f_in, store, layers.get("align"), train, update_running)
     gate = layers.get("gate")
-    if gate is not None:
-        refined, mask = attention_forward_graph(graph, f_pre, f_cur,
-                                                store[f"{gate.prefix}.weight"],
-                                                store[f"{gate.prefix}.bias"], gate.spec)
-    else:
-        refined, mask = f_cur, None
-    return ModuleTrace(m.name, f_in, f_pre, f_cur, mask, refined)
+    if gate is None:
+        return f_cur, None
+    return attention_forward_graph(graph, f_pre, f_cur, store[f"{gate.prefix}.weight"],
+                                   store[f"{gate.prefix}.bias"], gate.spec)
 
 
-def network_forward_graph(graph: GradGraph, batch, store: ParamStore, cfg: NetworkConfig,
-                          train: bool, update_running: bool = True) -> ForwardTrace:
-    """Differentiable forward pass; returns every intermediate of interest.
+def network_modules_graph(graph: GradGraph, batch, store: ParamStore, cfg: NetworkConfig,
+                          train: bool, update_running: bool = True
+                          ) -> Iterator[tuple[Node, Node | None]]:
+    """Run the stem, then yield each combined module's ``(output, mask)`` nodes.
 
-    The batch may have any spatial size (training crops and evaluation crops
-    differ); only the channel count must match the config.
+    Each module runs only when its pair is asked for, so a caller that stops
+    early runs no later module, and one that keeps only the latest pair
+    holds one module's maps. The batch may have any spatial size (training
+    crops and evaluation crops differ); only the channel count must match
+    the config.
     """
     x = graph.constant(batch)
     if x.value.shape[1] != cfg.input_shape[0]:
         raise ValueError(
             f"batch has {x.value.shape[1]} channels, config expects {cfg.input_shape[0]}")
-    stem = graph.relu(_layer_graph(graph, x, store, _stem_layer(cfg), train, update_running))
-    trace = ForwardTrace(stem=stem)
-    prev = stem
+    out = graph.relu(_layer_graph(graph, x, store, _stem_layer(cfg), train, update_running))
     for m in module_plan(cfg):
-        mod = _combined_module_graph(graph, prev, store, m, train, update_running)
-        trace.modules.append(mod)
-        prev = mod.refined
-    pooled = graph.global_avg_pool(prev)
-    trace.features = graph.flatten(pooled)
-    trace.logits = graph.linear(trace.features, graph.leaf(store["head.weight"]),
-                                graph.leaf(store["head.bias"]))
-    return trace
+        out, mask = _combined_module_graph(graph, out, store, m, train, update_running)
+        yield out, mask
+
+
+def network_forward_graph(graph: GradGraph, batch, store: ParamStore, cfg: NetworkConfig,
+                          train: bool, update_running: bool = True) -> Node:
+    """Differentiable forward pass: the modules, then global average pooling
+    and the linear head; returns the logits node."""
+    for out, _ in network_modules_graph(graph, batch, store, cfg, train, update_running):
+        pass
+    features = graph.flatten(graph.global_avg_pool(out))
+    return graph.linear(features, graph.leaf(store["head.weight"]), graph.leaf(store["head.bias"]))
 
 
 def network_forward(batch, store: ParamStore, cfg: NetworkConfig) -> np.ndarray:
     """Eval-mode forward pass on a graph that records no tape, which leaves
     the running statistics unchanged; returns the (n, K) logits array."""
-    trace = network_forward_graph(GradGraph(record=False), batch, store, cfg, train=False)
-    return trace.logits.value
+    return network_forward_graph(GradGraph(record=False), batch, store, cfg, train=False).value
 
 
 def network_loss_graph(graph: GradGraph, batch, labels, store, cfg,
                        train: bool, update_running: bool = True):
-    """Forward plus mean cross-entropy; returns (trace, loss node)."""
-    trace = network_forward_graph(graph, batch, store, cfg, train, update_running)
-    loss = graph.softmax_cross_entropy(trace.logits, labels)
-    return trace, loss
+    """Forward plus mean cross-entropy; returns (logits node, loss node)."""
+    logits = network_forward_graph(graph, batch, store, cfg, train, update_running)
+    return logits, graph.softmax_cross_entropy(logits, labels)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -244,10 +244,10 @@ def train_step(store: ParamStore, state: OptimizerState, x: np.ndarray, labels,
             state.absorb(p, grad)
 
     graph = GradGraph(sink=absorb)
-    trace, loss = network_loss_graph(graph, x, labels, store, net_cfg, train=True)
+    logits, loss = network_loss_graph(graph, x, labels, store, net_cfg, train=True)
     graph.backward(loss)
-    loss, predicted = float(loss.value), np.argmax(trace.logits.value, axis=1)
-    del graph, trace  # free this step's tape before a rebuild or the next forward
+    loss, predicted = float(loss.value), np.argmax(logits.value, axis=1)
+    del graph, logits  # free this step's tape before a rebuild or the next forward
     if bad is not None or not math.isfinite(loss):
         first = first_non_finite(lambda g: network_loss_graph(
             g, x, labels, store, net_cfg, train=True, update_running=False)[1])

@@ -7,13 +7,15 @@ ceil(n/k) rule lands exactly on the published post-rebalancing counts.
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from llanet import demo
+from llanet import demo, network
 from llanet.attention import attention_conv_spec
+from llanet.autodiff import GradGraph
 from llanet.data import DatasetManifest, SampleRecord
 from llanet.network import Layer, ParamStore, _add_layer
 from llanet.training import LoadedDataset, Normalization
@@ -91,3 +93,41 @@ def demo_dataset(demo_root):
 @pytest.fixture(scope="session")
 def plain_norm():
     return Normalization(mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
+
+
+@pytest.fixture
+def module_spy(monkeypatch):
+    """Log the nodes of each combined module that the forwards run from now on.
+
+    ``stem`` is the first ReLU output made, the stem's. Each entry of
+    ``modules`` has ``f_in``, the module's input; ``f_cur``, the residual
+    block's output (the module's last ReLU); ``f_pre``, the gate's other
+    input (None when no gate runs); and the module's ``mask`` and output,
+    ``refined``. The forward itself returns none of these.
+    """
+    log = SimpleNamespace(stem=None, modules=[], last_relu=None)
+    relu, combined = GradGraph.relu, network._combined_module_graph
+    gate = network.attention_forward_graph
+
+    def spied_relu(graph, x):
+        out = relu(graph, x)
+        if log.stem is None:
+            log.stem = out
+        log.last_relu = out
+        return out
+
+    def spied_module(graph, f_in, *args):
+        mod = SimpleNamespace(f_in=f_in, f_pre=None)
+        log.modules.append(mod)
+        mod.refined, mod.mask = out = combined(graph, f_in, *args)
+        mod.f_cur = log.last_relu
+        return out
+
+    def spied_gate(graph, f_pre, *args):
+        log.modules[-1].f_pre = f_pre
+        return gate(graph, f_pre, *args)
+
+    monkeypatch.setattr(GradGraph, "relu", spied_relu)
+    monkeypatch.setattr(network, "_combined_module_graph", spied_module)
+    monkeypatch.setattr(network, "attention_forward_graph", spied_gate)
+    return log

@@ -661,16 +661,16 @@ def test_tape_is_freed_by_reference_counting():
     gc.disable()
     try:
         g = GradGraph()
-        trace, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True)
+        logits, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True)
         g.backward(loss)
         alive = weakref.ref(g)
-        del g, trace, loss
+        del g, logits, loss
         assert alive() is None  # no gc.collect(): nothing may keep the tape in a cycle
     finally:
         gc.enable()
 
 
-def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch):
+def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch, module_spy):
     # micro plus a downsampling module, so a shortcut batch norm is built too
     cfg = dataclasses.replace(network.preset("micro"), stages=(
         network.StageSpec(1, 4, 1), network.StageSpec(1, 8, 2)))
@@ -698,17 +698,21 @@ def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch):
 
     def make_loss(g):
         made.clear()
+        module_spy.modules.clear()
         gc.disable()  # only reference counting may free a value
         try:
-            trace, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
-                                                     update_running=False)
+            logits, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
+                                                      update_running=False)
             if g.record:  # the tape is alive: the outputs no adjoint reads are not
                 # every batch-norm output (stem, bn1, bn2, shortcut), both residual
                 # sums and both pre-sigmoid gate outputs; no gate forms a concat
                 assert {k: len(v) for k, v in made.items()} == {
                     "batchnorm2d": 6, "add": 2, "conv2d": 2}
                 assert [k for k, refs in made.items() if any(r() is not None for r in refs)] == []
-                assert len(trace.modules) == 2  # the trace is alive too, as in train_epoch
+                # each module's input, f_pre, f_cur, mask and output are alive too (the
+                # spy holds them), and so are the logits, as in train_step
+                assert len(module_spy.modules) == 2
+                assert logits.value.shape == (2, cfg.num_classes)
         finally:
             gc.enable()
         return loss
@@ -836,22 +840,24 @@ def spy_graphs(monkeypatch, module, name="GradGraph"):
     return made
 
 
-def test_inference_records_no_tape(monkeypatch):
+def test_inference_records_no_tape(monkeypatch, module_spy):
     cfg = network.preset("tiny")
     store = network.init_network(cfg)
     x = np.random.default_rng(12).standard_normal((2, 3, 16, 16))
     recorded = network.network_forward_graph(GradGraph(), x, store, cfg, train=False)
+    recorded_modules = list(module_spy.modules)
     made = spy_graphs(monkeypatch, network)
     logits = network.network_forward(x, store, cfg)
     assert [g._tape for g in made] == [[]]
-    npt.assert_array_equal(logits, recorded.logits.value)
+    npt.assert_array_equal(logits, recorded.value)
     g = GradGraph(record=False)
-    trace = network.network_forward_graph(g, x, store, cfg, train=False)
+    module_spy.modules.clear()
+    out = network.network_forward_graph(g, x, store, cfg, train=False)
     assert g._tape == []
-    for mod, ref in zip(trace.modules, recorded.modules, strict=True):
+    for mod, ref in zip(module_spy.modules, recorded_modules, strict=True):
         npt.assert_array_equal(mod.mask.value, ref.mask.value)
     with pytest.raises(RuntimeError):
-        g.backward(ones_probe(g, trace.logits))
+        g.backward(ones_probe(g, out))
     made = spy_graphs(monkeypatch, attention)
     gate = make_gate(1, 3, np.random.default_rng(0))
     attention.attention_forward(x[:, :1], x[:, 1:2], *gate)
@@ -928,10 +934,48 @@ def test_frozen_gate_backward_skips_unneeded_gradients(monkeypatch):
         npt.assert_array_equal(grad, full[name])
 
 
+def test_eval_forward_holds_only_the_last_modules_maps(monkeypatch):
+    cfg = network.preset("tiny")
+    store = network.init_network(cfg)
+    x = np.random.default_rng(25).standard_normal((2, *cfg.input_shape))
+    made = {}  # what made an output -> weak references to the output values
+    alive = {}  # the same, as the head's linear runs: which values are still alive
+
+    def spy(name):
+        fn = getattr(GradGraph, name)
+
+        def logged(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made.setdefault(name, []).append(weakref.ref(out.value))
+            return out
+
+        monkeypatch.setattr(GradGraph, name, logged)
+
+    # relu: the stem's, then each module's conv1 and f_cur; sigmoid: each
+    # module's mask; hadamard: each module's output
+    for name in ("relu", "sigmoid", "hadamard"):
+        spy(name)
+    linear = GradGraph.linear
+
+    def head(graph, *args):
+        alive.update({k: [r() is not None for r in refs] for k, refs in made.items()})
+        return linear(graph, *args)
+
+    monkeypatch.setattr(GradGraph, "linear", head)
+    gc.disable()  # only reference counting may free a value
+    try:
+        network.network_forward(x, store, cfg)
+    finally:
+        gc.enable()
+    assert {k: len(v) for k, v in alive.items()} == {"relu": 5, "sigmoid": 2, "hadamard": 2}
+    # nothing of the stem or of module 0 is alive; the last output feeds the head
+    assert alive["relu"][:3] == [False] * 3
+    assert alive["sigmoid"][0] is False and alive["hadamard"] == [False, True]
+
+
 def test_tencrop_forward_holds_no_tape():
     # eight modules on ten 28 px crops: keeping the tape through the forward
-    # peaks near 56 MB; the module outputs the trace keeps plus one conv's
-    # im2col copy stay near 23 MB
+    # peaks near 56 MB; holding one module's maps at a time, it peaks near 4 MB
     cfg = network.NetworkConfig(input_shape=(3, 28, 28), stem_channels=8,
                                 stages=(network.StageSpec(8, 8, 1),))
     store = network.init_network(cfg)

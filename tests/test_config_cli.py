@@ -8,10 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from llanet import cli, demo
+from llanet import cli, demo, network
+from llanet.attention import attention_forward_graph
+from llanet.autodiff import GradGraph
 from llanet.cli import main
 from llanet.config import ConfigError, DEFAULTS, echo_config, load_run_config
-from llanet.data import load_image, parse_image, read_manifest
+from llanet.data import (Image, format_image, load_image, parse_image, read_manifest, to_tensor,
+                         write_image)
+from llanet.network import init_network, network_forward_graph, save_checkpoint
 
 # -- config loading ----------------------------------------------------------------
 
@@ -415,6 +419,86 @@ def test_cli_refuses_fewer_classes_than_the_manifest_labels(command, cli_root, t
     assert "/network/num_classes: 3 classes cannot hold label 6" in err
     assert str(cli_root / "train.csv") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("checkpoint", ["truncated", "missing"])
+def test_eval_reads_its_checkpoint_before_it_makes_the_output(checkpoint, trained_run,
+                                                               tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    if checkpoint == "truncated":
+        bad.write_bytes((trained_run / "best.ckpt").read_bytes()[:100])
+    out = tmp_path / "run"
+    assert run_cli("eval", "--config", trained_run / "config.json",
+                   "--checkpoint", bad, "--out", out) == 1
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_refuses_an_eval_crop_larger_than_an_image(command, cli_root, trained_run,
+                                                       tmp_path, capsys):
+    config = with_changes(cli_root, tmp_path, "crop.json", data={"eval_crop": 16})
+    checkpoint = ("--checkpoint", trained_run / "best.ckpt") if command == "eval" else ()
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", config, *checkpoint, "--out", out) == 2
+    image = cli_root / read_manifest(cli_root / "train.csv").records[0].image_path
+    assert f"/data/eval_crop: 16 exceeds the 8x8 image {image}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def gray_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gray")
+    demo.write_demo_dataset(root, images_per_class=1, size=8, seed=1, channels=1)
+    return root
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "dump-attention"])
+def test_cli_refuses_images_with_another_channel_count(command, cli_root, gray_root,
+                                                       trained_run, tmp_path, capsys):
+    image = gray_root / read_manifest(gray_root / "train.csv").records[0].image_path
+    config = with_changes(cli_root, tmp_path, "gray.json",
+                          data={"train_manifest": str(gray_root / "train.csv")})
+    out = tmp_path / "run"
+    argv = {"train": ("--config", config),
+            "eval": ("--config", config, "--checkpoint", trained_run / "best.ckpt"),
+            "dump-attention": ("--checkpoint", trained_run / "best.ckpt", "--image", image,
+                               "--module-index", 0)}[command]
+    assert run_cli(command, *argv, "--out", out) == 2
+    assert (f"/network/input_channels: the network reads 3-channel images, {image} has 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_dump_attention_runs_only_up_to_its_module(monkeypatch, module_spy, tmp_path, capsys):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"network": {"preset": "tiny"}}))
+    cfg = load_run_config(config)
+    store = init_network(cfg.network)
+    save_checkpoint(tmp_path / "net.ckpt", store, cfg.network)
+    img = demo.class_image(2, 32, np.random.default_rng(0))
+    write_image(tmp_path / "face.ppm", img)
+    # the mask of module 0 that a whole forward makes
+    network_forward_graph(GradGraph(record=False), to_tensor(img, cfg.norm.mean, cfg.norm.std),
+                          store, cfg.network, train=False)
+    want = module_spy.modules[0].mask.value[0]
+    gates = []
+    monkeypatch.setattr(network, "attention_forward_graph",
+                        lambda *args: gates.append(args) or attention_forward_graph(*args))
+    out = tmp_path / "masks"
+    assert run_cli("dump-attention", "--checkpoint", tmp_path / "net.ckpt", "--config", config,
+                   "--image", tmp_path / "face.ppm", "--module-index", 0, "--out", out) == 0
+    assert len(gates) == 1
+    assert capsys.readouterr().out == (
+        "module s0b0: wrote 8 PGM channels (32x32) and mask_m0.bin\n")
+    dims = np.asarray(want.shape, dtype="<u4")
+    assert (out / "mask_m0.bin").read_bytes() == (
+        np.asarray([3], dtype="<u4").tobytes() + dims.tobytes() + want.astype("<f8").tobytes())
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        ["mask_m0.bin"] + [f"mask_m0_c{c}.pgm" for c in range(8)])
+    for c in range(8):
+        assert (out / f"mask_m0_c{c}.pgm").read_bytes() == format_image(
+            Image(np.rint(want[c] * 255.0).astype(np.uint8)[None]))
 
 
 def test_out_of_memory_ends_with_one_line(monkeypatch, capsys):

@@ -14,7 +14,8 @@ from llanet.autodiff import GradGraph, Param
 from llanet.network import (CheckpointError, NetworkConfig, ParamStore, StageSpec,
                             config_digest, count_parameters, feature_shape, init_network,
                             load_checkpoint, module_plan, network_forward,
-                            network_forward_graph, preset, save_checkpoint)
+                            network_forward_graph, network_modules_graph, preset,
+                            save_checkpoint)
 from llanet.verify import network_gradcheck
 
 
@@ -137,13 +138,14 @@ def test_frozen_gates_are_excluded_from_trainables():
     assert not any(".attn." in n for n in trainable_names)
 
 
-def test_previous_stream_threads_through_modules():
+def test_previous_stream_threads_through_modules(module_spy):
     cfg = preset("tiny")
     store = init_network(cfg)
     g = GradGraph()
-    trace = network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
-    assert trace.modules[0].f_in is trace.stem
-    for prev, cur in zip(trace.modules, trace.modules[1:]):
+    network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
+    modules = module_spy.modules
+    assert modules[0].f_in is module_spy.stem
+    for prev, cur in zip(modules, modules[1:]):
         assert cur.f_in is prev.refined
 
 
@@ -157,7 +159,7 @@ def test_module_plan_is_built_once_per_config_and_immutable():
         plan[0].layers = {}
 
 
-def test_alignment_only_when_shape_changes():
+def test_alignment_only_when_shape_changes(module_spy):
     cfg = preset("tiny")
     plan = module_plan(cfg)
     assert [m.projected for m in plan] == [False, True]
@@ -165,11 +167,11 @@ def test_alignment_only_when_shape_changes():
     assert "s1b0.align.weight" in store and "s0b0.align.weight" not in store
 
     g = GradGraph()
-    trace = network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
+    network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
+    m0, m1 = module_spy.modules
     # identity module: f_pre is literally the module's input node
-    assert trace.modules[0].f_pre is trace.modules[0].f_in
+    assert m0.f_pre is m0.f_in
     # projected module: f_pre is a new node with the block's output shape
-    m1 = trace.modules[1]
     assert m1.f_pre is not m1.f_in
     assert m1.f_pre.value.shape == m1.f_cur.value.shape
 
@@ -178,13 +180,14 @@ def test_mask_shape_tracks_each_stage():
     cfg = preset("tiny")
     store = init_network(cfg)
     g = GradGraph()
-    trace = network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
-    assert trace.modules[0].mask.value.shape == (2, 8, 32, 32)
+    (refined0, mask0), (refined1, mask1) = network_modules_graph(g, batch_for(cfg), store, cfg,
+                                                                 train=False)
+    assert mask0.value.shape == (2, 8, 32, 32)
     # stage boundary halves the spatial dims and doubles the channels
-    assert trace.modules[1].mask.value.shape == (2, 16, 16, 16)
-    for mod in trace.modules:
-        assert mod.refined.value.shape == mod.mask.value.shape
-        assert np.all((mod.mask.value > 0) & (mod.mask.value < 1))
+    assert mask1.value.shape == (2, 16, 16, 16)
+    for refined, mask in ((refined0, mask0), (refined1, mask1)):
+        assert refined.value.shape == mask.value.shape
+        assert np.all((mask.value > 0) & (mask.value < 1))
 
 
 def test_eval_forward_is_pure():
@@ -235,22 +238,24 @@ def test_attention_ablation_changes_logits():
                          network_forward(x, s_gated, gated))) > 1e-8
 
 
-def test_frozen_attention_halves_block_outputs():
+def test_frozen_attention_halves_block_outputs(module_spy):
     cfg = preset("tiny", attention="frozen")
     store = init_network(cfg)
     g = GradGraph()
-    trace = network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
-    for mod in trace.modules:
+    network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
+    assert len(module_spy.modules) == 2
+    for mod in module_spy.modules:
         npt.assert_array_equal(mod.mask.value, np.full_like(mod.mask.value, 0.5))
         npt.assert_allclose(mod.refined.value, 0.5 * mod.f_cur.value, atol=1e-15)
 
 
-def test_off_mode_passes_block_output_through():
+def test_off_mode_passes_block_output_through(module_spy):
     cfg = preset("tiny", attention="off")
     store = init_network(cfg)
     g = GradGraph()
-    trace = network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
-    for mod in trace.modules:
+    network_forward_graph(g, batch_for(cfg), store, cfg, train=False)
+    assert len(module_spy.modules) == 2
+    for mod in module_spy.modules:
         assert mod.mask is None
         assert mod.refined is mod.f_cur
 

@@ -256,9 +256,9 @@ def test_train_epoch_frees_each_tape_before_the_next_forward(monkeypatch):
 
     def spy(graph, *args, **kwargs):
         alive.append([graph() is not None or logits() is not None for graph, logits in refs])
-        trace, loss = loss_graph(graph, *args, **kwargs)
-        refs.append((weakref.ref(graph), weakref.ref(trace.logits.value)))
-        return trace, loss
+        logits, loss = loss_graph(graph, *args, **kwargs)
+        refs.append((weakref.ref(graph), weakref.ref(logits.value)))
+        return logits, loss
 
     monkeypatch.setattr(training, "network_loss_graph", spy)
     cfg = preset("micro", seed=0)
@@ -467,10 +467,10 @@ def test_a_streamed_step_is_bit_identical_to_sgd_step_on_the_gradient_dict(atten
         x, labels = micro_batch(cfg, seed=step)
         loss, predicted = training.train_step(streamed, s_state, x, labels, cfg, 0.1)
         graph = training.GradGraph()
-        trace, want = training.network_loss_graph(graph, x, labels, whole, cfg, train=True)
+        logits, want = training.network_loss_graph(graph, x, labels, whole, cfg, train=True)
         sgd_step(whole, graph.backward(want), w_state, 0.1)
         assert np.float64(loss).tobytes() == np.float64(want.value).tobytes()
-        npt.assert_array_equal(predicted, np.argmax(trace.logits.value, axis=1))
+        npt.assert_array_equal(predicted, np.argmax(logits.value, axis=1))
     assert s_state.step_count == w_state.step_count == 3
     for p in streamed:
         assert p.value.tobytes() == whole[p.name].value.tobytes(), p.name
