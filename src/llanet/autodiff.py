@@ -19,16 +19,18 @@ conv output. ReLU masks on its own output, which is positive exactly where
 its input is. ``conv2d`` also takes a pair of nodes as one input, as the gate
 conv reads ``F_pre``‖``F_cur``: the conv kernels copy both maps into the
 padded buffer they build anyway, in the forward and in the adjoint's dW, so
-the concat is never formed at all. Batch norm's adjoint reads the
-per-channel mean and variance its kernel normalized with (2C floats) rather
-than computing them again. It reduces over an (n, c, h*w) view for
-dgamma = sum(dy * xhat) and dbeta = sum(dy); the train-mode sums over
-gamma * dy are then gamma * dbeta and gamma * dgamma, so it forms
-dx = gamma * inv * (dy - dbeta/m - xhat * dgamma/m) in place in the xhat it
-rebuilds, a few passes over the map instead of about fifteen. Eval mode's
-dx is one pass, dy * (gamma * inv). Since the tape keeps no op outputs,
-``first_non_finite`` rebuilds a failed step's forward to find the first one
-that is not finite.
+the concat is never formed at all. Batch norm takes its running mean and
+variance as two plain arrays, not nodes: train mode updates them in place,
+and eval mode normalizes with copies of them. Its adjoint reads the
+per-channel mean and variance its kernel normalized with (2C floats, the
+kernel's own arrays) rather than computing them again. It reduces over an
+(n, c, h*w) view for dgamma = sum(dy * xhat) and dbeta = sum(dy); the
+train-mode sums over gamma * dy are then gamma * dbeta and gamma * dgamma,
+so it forms dx = gamma * inv * (dy - dbeta/m - xhat * dgamma/m) in place in
+the xhat it rebuilds, a few passes over the map instead of about fifteen.
+Eval mode's dx is one pass, dy * (gamma * inv). Since the tape keeps no op
+outputs, ``first_non_finite`` rebuilds a failed step's forward to find the
+first one that is not finite.
 
 ``backward`` walks the tape in reverse creation order, which is a valid
 topological order. It keeps the pending cotangents itself, keyed on
@@ -74,14 +76,14 @@ by its position in the op sequence: one forward's op outputs, held for the
 duration of one ``grad_check`` call. Each +/- eps re-evaluation then runs on
 a tape-free replay graph in which the nudged param's leaf carries a marker
 handle. An op runs again only when one of its inputs carries the marker or a
-raw array argument may share memory with the param, and its output then
-carries the marker too; every other op returns its kept output, which its
-kernel would compute again bit for bit from the same inputs. So a nudge of
-the head's weight re-runs the head and the loss, not the stem, and the
-report is the one fresh graphs would give. A re-evaluation whose op sequence
-differs from the unperturbed one raises rather than reuse a stale value. A
-gradient or difference that is not finite counts as an infinite error, so
-it can never pass a tolerance.
+raw array argument (such as batch norm's running arrays) may share memory
+with the param, and its output then carries the marker too; every other op
+returns its kept output, which its kernel would compute again bit for bit
+from the same inputs. So a nudge of the head's weight re-runs the head and
+the loss, not the stem, and the report is the one fresh graphs would give.
+A re-evaluation whose op sequence differs from the unperturbed one raises
+rather than reuse a stale value. A gradient or difference that is not
+finite counts as an infinite error, so it can never pass a tolerance.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .tensor import DEFAULT_DTYPE, ConvSpec, DimensionError, RunningStats
+from .tensor import DEFAULT_DTYPE, ConvSpec, DimensionError
 
 
 class Param:
@@ -227,12 +229,13 @@ class GradGraph:
 
         return self._record(out, backprop, "conv2d", a, b, weight, bias)
 
-    def batchnorm2d(self, x: Node, gamma: Node, beta: Node, stats: RunningStats,
-                    train: bool, update_running: bool = True) -> Node:
+    def batchnorm2d(self, x: Node, gamma: Node, beta: Node, running_mean: np.ndarray,
+                    running_var: np.ndarray, train: bool, update_running: bool = True) -> Node:
         xv, gv = x.value, gamma.value
         # the kernel's moments are its own arrays: in eval mode a copy of the
-        # running stats, so a later in-place update cannot reach this adjoint
-        out, mean, var = tensor.batchnorm2d(xv, gv, beta.value, stats, train, update_running)
+        # running arrays, so a later in-place update cannot reach this adjoint
+        out, mean, var = tensor.batchnorm2d(xv, gv, beta.value, running_mean, running_var,
+                                            train, update_running)
         hx, hg, hb = x.handle, gamma.handle, beta.handle
 
         def backprop(dy, send):

@@ -85,10 +85,13 @@ def _channels_message(image_path, img, channels: int) -> str:
             f"{image_path} has {img.channels}")
 
 
-def _load_split(cfg: RunConfig, which: str, evaluated: bool) -> LoadedDataset:
+def _load_split(cfg: RunConfig, which: str, evaluated: bool, trained=False) -> LoadedDataset:
     """Load a manifest's images, refusing what the network cannot read: an
-    image with another channel count and, for the split that ``evaluate``
-    crops (``evaluated``), one smaller than ``eval_crop``."""
+    image with another channel count; for the split that ``evaluate`` crops
+    (``evaluated``), one smaller than ``eval_crop``; and for the split that
+    ``train_epoch`` batches (``trained``), one taller than its padded width
+    when augmentation is on, or, at a ``batch_size`` above 1, training
+    inputs of two sizes (the h x h crop with augmentation, else the image)."""
     rel = cfg.train_manifest if which == "train" else cfg.val_manifest
     if rel is None:
         raise ConfigError([f"/data/{which}_manifest: required for this command"])
@@ -102,6 +105,8 @@ def _load_split(cfg: RunConfig, which: str, evaluated: bool) -> LoadedDataset:
                            f"cannot hold label {top} of {path}"])
     dataset = LoadedDataset.from_manifest(manifest, path.parent)
     channels, crop = cfg.network.input_shape[0], cfg.eval_crop if evaluated else None
+    pad = cfg.augment.pad if cfg.augment.enabled else None
+    sizes = {}  # training input size -> the first image of that size
     for rec, img in zip(dataset.records, dataset.images):
         image_path = path.parent / rec.image_path
         if img.channels != channels:
@@ -109,13 +114,21 @@ def _load_split(cfg: RunConfig, which: str, evaluated: bool) -> LoadedDataset:
         if crop is not None and crop > min(img.height, img.width):
             raise ConfigError([f"/data/eval_crop: {crop} exceeds the {img.height}x{img.width} "
                                f"image {image_path}"])
+        if trained and pad is not None and img.height > img.width + 2 * pad:
+            raise ConfigError([f"/data/augment/pad: the {img.height}x{img.width} image "
+                               f"{image_path} is taller than its width padded by {pad} a side"])
+        sizes.setdefault(f"{img.height}x{img.height if pad is not None else img.width}", image_path)
+        if trained and cfg.train.batch_size > 1 and len(sizes) > 1:
+            (a, first), (b, other) = sizes.items()
+            raise ConfigError([f"/data/train_manifest: batch_size {cfg.train.batch_size} needs "
+                               f"training inputs of one size, but {first} gives {a}, {other} {b}"])
     return dataset
 
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     # validation evaluates the train split when there is no val manifest
-    train_data = _load_split(cfg, "train", evaluated=not cfg.val_manifest)
+    train_data = _load_split(cfg, "train", evaluated=not cfg.val_manifest, trained=True)
     val_data = _load_split(cfg, "val", evaluated=True) if cfg.val_manifest else train_data
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

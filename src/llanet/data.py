@@ -196,9 +196,9 @@ def merge_external(base: DatasetManifest, supplement: DatasetManifest,
                    quota_by_class: dict[int, int]) -> tuple[DatasetManifest, dict[int, int]]:
     """Append up to quota supplement records per class, in supplement order.
 
-    The supplement must be externally sourced. Returns the merged manifest and
-    the per-class count actually added (short supply is allowed; callers
-    report the shortfall).
+    The supplement must be externally sourced (``ManifestError`` otherwise).
+    Returns the merged manifest and the per-class count actually added (short
+    supply is allowed; callers report the shortfall).
     """
     for label, quota in quota_by_class.items():
         if not 0 <= label < NUM_CLASSES:
@@ -209,7 +209,7 @@ def merge_external(base: DatasetManifest, supplement: DatasetManifest,
     picked = []
     for r in supplement:
         if r.source == "primary":
-            raise ValueError(f"supplement record {r.key} is not externally sourced")
+            raise ManifestError(f"supplement record {r.key} is not externally sourced")
         if r.label in added and added[r.label] < quota_by_class[r.label]:
             picked.append(r)
             added[r.label] += 1

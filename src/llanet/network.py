@@ -37,7 +37,7 @@ import numpy as np
 from .attention import attention_conv_spec, attention_forward_graph
 from .autodiff import GradGraph, Node, Param
 from .data import atomic_open
-from .tensor import ConvSpec, DEFAULT_DTYPE, RunningStats, conv_output_hw
+from .tensor import ConvSpec, DEFAULT_DTYPE, conv_output_hw
 
 ATTENTION_MODES = ("learned", "frozen", "off")
 
@@ -164,11 +164,6 @@ class ParamStore:
 
     def trainable(self) -> list[Param]:
         return [p for p in self if p.trainable]
-
-    def running_stats(self, prefix: str) -> RunningStats:
-        """Live view over a batch-norm layer's running mean/var entries."""
-        return RunningStats(self[f"{prefix}.running_mean"].value,
-                            self[f"{prefix}.running_var"].value)
 
 
 def count_parameters(store: ParamStore) -> int:
@@ -342,7 +337,8 @@ def _layer_graph(graph, x, store, layer: Layer | None, train, update_running):
         return y
     bn = layer.bn
     return graph.batchnorm2d(y, graph.leaf(store[f"{bn}.gamma"]), graph.leaf(store[f"{bn}.beta"]),
-                             store.running_stats(bn), train, update_running=update_running)
+                             store[f"{bn}.running_mean"].value, store[f"{bn}.running_var"].value,
+                             train, update_running=update_running)
 
 
 def _combined_module_graph(graph, f_in: Node, store, m: ModulePlan,
@@ -486,7 +482,7 @@ def load_checkpoint(path, store: ParamStore, cfg: NetworkConfig) -> None:
             raise CheckpointError(f"{path}: trailing bytes after the last parameter")
     for name, (flags, data) in entries.items():
         p = store[name]
-        # fill in place so live RunningStats views stay attached
+        # fill in place so arrays grabbed from the store before the load see it
         p.value[...] = data
         p.trainable = bool(flags & 1)
         p.decay_exempt = bool(flags & 2)

@@ -5,13 +5,15 @@ height, width - stored row-major, float64 by default. The forward kernels
 here are the only copy of the forward math: the ops of ``llanet.autodiff``
 take their values from them, and their adjoints rebuild what only the
 backward pass needs with the helpers here: ``conv2d_weight_grad`` and
-``conv2d_input_grad`` for the conv, ``_conv_windows`` for the max-pool
-windows, and ``_normalize``, which batch norm's train-mode kernel and its
-adjoint share so both normalize with the same ``BN_EPS``. ``batchnorm2d``
-returns the per-channel moments it normalized with, which its adjoint reads;
-in eval mode it is the fixed per-channel affine map ``x * scale + shift``.
-Running batch-norm statistics are owned by the caller and passed in
-explicitly, so kernels keep no hidden state.
+``conv2d_input_grad`` for the conv, ``_conv_windows`` for the window views
+of the im2col dW and the max pool, and ``_normalize``, which batch norm's
+train-mode kernel and its adjoint share so both normalize with the same
+``BN_EPS``. ``batchnorm2d`` returns the per-channel moments it normalized
+with, which its adjoint reads; in eval mode it is the fixed per-channel
+affine map ``x * scale + shift``. Batch norm's running mean and variance are
+two arrays the caller owns and passes in (the network's are entries of its
+``ParamStore``); train mode updates them in place, so kernels keep no hidden
+state.
 
 A conv's input is a map or a tuple of maps read as one, their channels in
 order (the attention gate's ``F_pre``, ``F_cur``). Both layouts pad their
@@ -445,18 +447,6 @@ def conv2d(x, weight, bias, spec: ConvSpec) -> np.ndarray:
     return np.add(out, bias[None, :, None, None], out=out if contiguous else None)
 
 
-@dataclass
-class RunningStats:
-    """Per-channel running mean/variance; updated in place in train mode."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    @classmethod
-    def fresh(cls, channels: int) -> "RunningStats":
-        return cls(np.zeros(channels, dtype=DEFAULT_DTYPE), np.ones(channels, dtype=DEFAULT_DTYPE))
-
-
 def batch_moments(x) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and population variance over (batch, height, width)."""
     return x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
@@ -472,27 +462,27 @@ def _normalize(x, mean, var):
     return xhat, inv
 
 
-def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
+def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
                 update_running: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalise per channel; train mode uses batch statistics, eval the running ones.
 
     Returns ``(out, mean, var)``: the output and the per-channel moments it
     normalized with, as arrays of the kernel's own (in eval mode, copies of
-    the running stats). In train mode the running stats are updated in place
-    with momentum ``BN_MOMENTUM`` (variance with the unbiased estimate)
-    unless ``update_running`` is False. Eval mode is a fixed per-channel
-    affine map, so it runs as ``x * scale + shift`` in two passes.
+    ``running_mean`` and ``running_var``). In train mode those two arrays are
+    updated in place with momentum ``BN_MOMENTUM`` (variance with the
+    unbiased estimate) unless ``update_running`` is False. Eval mode is a
+    fixed per-channel affine map, so it runs as ``x * scale + shift`` in two
+    passes.
     """
     x = _require_nchw(x)
     c = x.shape[1]
-    gamma = np.asarray(gamma)
-    beta = np.asarray(beta)
+    gamma, beta = np.asarray(gamma), np.asarray(beta)
     if gamma.shape != (c,):
         raise DimensionError(f"gamma shape {gamma.shape} must be ({c},)", axis="channels")
     if beta.shape != (c,):
         raise DimensionError(f"beta shape {beta.shape} must be ({c},)", axis="channels")
     if not train:
-        mean, var = stats.mean.copy(), stats.var.copy()
+        mean, var = running_mean.copy(), running_var.copy()
         scale = gamma / np.sqrt(var + BN_EPS)
         out = x * scale[None, :, None, None]
         out += (beta - mean * scale)[None, :, None, None]
@@ -502,10 +492,9 @@ def batchnorm2d(x, gamma, beta, stats: RunningStats, train: bool,
         raise ValueError("train-mode batch norm needs at least 2 values per channel")
     mean, var = batch_moments(x)
     if update_running:
-        stats.mean *= 1.0 - BN_MOMENTUM
-        stats.mean += BN_MOMENTUM * mean
-        stats.var *= 1.0 - BN_MOMENTUM
-        stats.var += BN_MOMENTUM * (var * (m / (m - 1.0)))
+        for running, batch in ((running_mean, mean), (running_var, var * (m / (m - 1.0)))):
+            running *= 1.0 - BN_MOMENTUM
+            running += BN_MOMENTUM * batch
     out, _ = _normalize(x, mean, var)
     out *= gamma[None, :, None, None]
     out += beta[None, :, None, None]

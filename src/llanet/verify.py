@@ -20,7 +20,7 @@ import numpy as np
 from .attention import attention_conv_spec, attention_forward_graph
 from .autodiff import GradCheckReport, GradGraph, Param, grad_check
 from .network import Layer, ParamStore, _add_layer, init_network, network_loss_graph, preset
-from .tensor import ConvSpec, RunningStats
+from .tensor import ConvSpec
 
 RELU_KINK_MARGIN = 0.1
 
@@ -55,10 +55,9 @@ def check_batchnorm(eps, rng, train):
     x = _param(rng, "x", (2, 3, 4, 4))
     gamma = Param("gamma", 0.5 + rng.random(3))
     beta = _param(rng, "beta", (3,), scale=0.3)
-    stats = RunningStats(rng.standard_normal(3), 0.5 + rng.random(3))
-    return _probed(eps, rng, [x, gamma, beta],
-                   lambda g, *leaves: g.batchnorm2d(*leaves, stats, train=train, update_running=False),
-                   x.value.shape)
+    running_mean, running_var = rng.standard_normal(3), 0.5 + rng.random(3)
+    return _probed(eps, rng, [x, gamma, beta], lambda g, *leaves: g.batchnorm2d(
+        *leaves, running_mean, running_var, train=train, update_running=False), x.value.shape)
 
 
 def check_relu(eps, rng):

@@ -14,7 +14,7 @@ import oracles
 from conftest import make_gate
 from llanet import attention, autodiff, network, tensor
 from llanet.autodiff import GradGraph, Param, grad_check, relative_error
-from llanet.tensor import ConvSpec, DimensionError, FORWARD_KERNELS, RunningStats
+from llanet.tensor import ConvSpec, DimensionError, FORWARD_KERNELS
 from llanet.verify import KERNEL_CHECKS, run_suite
 
 
@@ -588,11 +588,12 @@ def test_eval_batchnorm_treats_running_stats_as_constants():
     x = Param("x", rng.standard_normal((2, 2, 3, 3)))
     gamma = Param("gamma", np.array([1.5, 0.5]))
     beta = Param("beta", np.zeros(2))
-    stats = RunningStats(np.array([0.3, -0.2]), np.array([1.2, 0.7]))
+    running_mean, running_var = np.array([0.3, -0.2]), np.array([1.2, 0.7])
     g = GradGraph()
-    y = g.batchnorm2d(g.leaf(x), g.leaf(gamma), g.leaf(beta), stats, train=False)
+    y = g.batchnorm2d(g.leaf(x), g.leaf(gamma), g.leaf(beta), running_mean, running_var,
+                      train=False)
     grads = g.backward(ones_probe(g, y))
-    inv = 1.0 / np.sqrt(stats.var + 1e-5)
+    inv = 1.0 / np.sqrt(running_var + 1e-5)
     expected = np.broadcast_to((gamma.value * inv)[None, :, None, None], x.value.shape)
     npt.assert_allclose(grads["x"], expected, atol=1e-12)
 
@@ -602,18 +603,19 @@ def test_eval_batchnorm_adjoint_reads_the_stats_its_forward_used():
     x = Param("x", rng.standard_normal((2, 2, 3, 3)))
     gamma = Param("gamma", np.array([1.5, 0.5]))
     beta = Param("beta", np.zeros(2))
-    used = RunningStats(np.array([0.3, -0.2]), np.array([1.2, 0.7]))
-    stats = RunningStats(used.mean.copy(), used.var.copy())
+    used_mean, used_var = np.array([0.3, -0.2]), np.array([1.2, 0.7])
+    running_mean, running_var = used_mean.copy(), used_var.copy()
     g = GradGraph()
-    y = g.batchnorm2d(g.leaf(x), g.leaf(gamma), g.leaf(beta), stats, train=False)
+    y = g.batchnorm2d(g.leaf(x), g.leaf(gamma), g.leaf(beta), running_mean, running_var,
+                      train=False)
     loss = ones_probe(g, y)
-    stats.mean += 5.0  # in place, as a train-mode forward updates them
-    stats.var *= 3.0
+    running_mean += 5.0  # in place, as a train-mode forward updates them
+    running_var *= 3.0
     grads = g.backward(loss)
-    inv = 1.0 / np.sqrt(used.var + 1e-5)
+    inv = 1.0 / np.sqrt(used_var + 1e-5)
     npt.assert_allclose(grads["x"], np.broadcast_to(
         (gamma.value * inv)[None, :, None, None], x.value.shape), atol=1e-12)
-    xhat = (x.value - used.mean[None, :, None, None]) * inv[None, :, None, None]
+    xhat = (x.value - used_mean[None, :, None, None]) * inv[None, :, None, None]
     npt.assert_allclose(grads["gamma"], xhat.sum(axis=(0, 2, 3)), atol=1e-12)
 
 
@@ -628,12 +630,12 @@ def test_batchnorm_adjoint_matches_the_textbook_formula(train, shape):
     gv[0] = 0.0
     x, gamma = Param("x", xv), Param("gamma", gv)
     beta = Param("beta", rng.standard_normal(shape[1]))
-    stats = RunningStats(rng.standard_normal(shape[1]), rng.uniform(0.5, 2.0, shape[1]))
-    mean, var = tensor.batch_moments(xv) if train else (stats.mean.copy(), stats.var.copy())
+    running_mean, running_var = rng.standard_normal(shape[1]), rng.uniform(0.5, 2.0, shape[1])
+    mean, var = tensor.batch_moments(xv) if train else (running_mean.copy(), running_var.copy())
     dy = rng.standard_normal(shape)
     g = GradGraph()
-    y = g.batchnorm2d(g.leaf(x), g.leaf(gamma), g.leaf(beta), stats, train=train,
-                      update_running=False)
+    y = g.batchnorm2d(g.leaf(x), g.leaf(gamma), g.leaf(beta), running_mean, running_var,
+                      train=train, update_running=False)
     grads = g.backward(g.weighted_sum(y, dy))
     want = oracles.batchnorm_adjoint_naive(xv, gv, dy, mean, var, tensor.BN_EPS, train)
     for name, ref in zip(("x", "gamma", "beta"), want):
@@ -647,11 +649,11 @@ def test_graph_batchnorm_rejects_what_the_kernel_rejects():
     x = g.constant(np.zeros((2, 3, 2, 2)))
     with pytest.raises(DimensionError) as e:  # would broadcast if unchecked
         g.batchnorm2d(x, g.constant(np.ones(1)), g.constant(np.zeros(3)),
-                      RunningStats.fresh(3), train=True)
+                      np.zeros(3), np.ones(3), train=True)
     assert e.value.axis == "channels"
     with pytest.raises(ValueError):
         g.batchnorm2d(g.constant(np.zeros((1, 3, 1, 1))), g.constant(np.ones(3)),
-                      g.constant(np.zeros(3)), RunningStats.fresh(3), train=True)
+                      g.constant(np.zeros(3)), np.zeros(3), np.ones(3), train=True)
 
 
 def test_tape_is_freed_by_reference_counting():

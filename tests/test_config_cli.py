@@ -239,6 +239,19 @@ def test_rebalance_cli_rejects_negative_quota_with_supplement(tmp_path, capsys):
                       "--supplement", supp, "--quota", "fear=3", "--quota", "anger=-5")
 
 
+def test_rebalance_cli_refuses_a_primary_supplement(tmp_path, capsys):
+    src = tmp_path / "m.csv"
+    write_manifest_text(src, ["s,0,img.ppm,0,primary\n"])
+    supp = tmp_path / "ext.csv"
+    write_manifest_text(supp, ["x,0,e.ppm,0,external_a\n", "p,0,p.ppm,0,primary\n"])
+    out = tmp_path / "o"
+    assert run_cli("rebalance", "--manifest", src, "--supplement", supp,
+                   "--quota", "anger=5", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: manifest: supplement record ('p', 0) is not externally sourced\n")
+    assert not out.exists()
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as e:
         run_cli("transmogrify")
@@ -468,6 +481,58 @@ def test_cli_refuses_images_with_another_channel_count(command, cli_root, gray_r
     assert (f"/network/input_channels: the network reads 3-channel images, {image} has 1"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def sized_config(cli_root, tmp_path, sizes, batch_size, pad=None):
+    """The CLI run config on a train manifest of one random image per
+    (height, width) in ``sizes``, augmented with ``pad`` unless it is None;
+    returns the config and the image paths."""
+    rng = np.random.default_rng(5)
+    images = [tmp_path / f"img{i}.ppm" for i in range(len(sizes))]
+    for path, (h, w) in zip(images, sizes):
+        write_image(path, Image(rng.integers(0, 256, (3, h, w), dtype=np.uint8)))
+    write_manifest_text(tmp_path / "sized.csv", [f"s,{i},img{i}.ppm,{i},primary\n"
+                                                 for i in range(len(sizes))])
+    data = {"train_manifest": str(tmp_path / "sized.csv"),
+            "augment": {"enabled": pad is not None, "pad": pad or 0}}
+    config = with_changes(cli_root, tmp_path, "sized.json", train={"batch_size": batch_size},
+                          data=data)
+    return config, images
+
+
+@pytest.mark.parametrize("sizes, pad, inputs", [
+    ([(8, 8), (8, 12)], None, ("8x8", "8x12")),  # the whole image when augmentation is off
+    ([(8, 12), (12, 8)], 2, ("8x8", "12x12")),  # the h x h crop when it is on
+], ids=["augment-off", "augment-on"])
+def test_cli_refuses_training_inputs_of_two_sizes_in_a_batch(sizes, pad, inputs, cli_root,
+                                                             tmp_path, capsys):
+    config, images = sized_config(cli_root, tmp_path, sizes, batch_size=2, pad=pad)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", config, "--out", out) == 2
+    assert (f"/data/train_manifest: batch_size 2 needs training inputs of one size, but "
+            f"{images[0]} gives {inputs[0]}, {images[1]} {inputs[1]}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_refuses_an_augmented_image_taller_than_its_padded_width(cli_root, tmp_path,
+                                                                     capsys):
+    config, images = sized_config(cli_root, tmp_path, [(8, 8), (16, 8)], batch_size=1, pad=2)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", config, "--out", out) == 2
+    assert (f"/data/augment/pad: the 16x8 image {images[1]} is taller than its width "
+            f"padded by 2 a side" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes, batch_size, pad", [
+    ([(8, 8), (12, 12), (8, 12)], 1, None),  # any sizes train one image at a time
+    ([(8, 8), (8, 12)], 2, 2),  # both train on 8x8 crops
+], ids=["batch-1", "augment-crops"])
+def test_cli_trains_on_images_of_several_sizes_when_they_batch(sizes, batch_size, pad,
+                                                               cli_root, tmp_path):
+    config, _ = sized_config(cli_root, tmp_path, sizes, batch_size, pad)
+    assert run_cli("train", "--config", config, "--out", tmp_path / "run") == 0
 
 
 def test_dump_attention_runs_only_up_to_its_module(monkeypatch, module_spy, tmp_path, capsys):

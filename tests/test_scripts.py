@@ -1,6 +1,9 @@
-"""The dev scripts under scripts/ still run: each reads private ``llanet``
-names that a refactor can rename without any other test noticing."""
+"""The dev scripts under scripts/ and the benchmark's tracer still run: each
+reads ``llanet`` names that a refactor can rename without any other test
+noticing."""
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +34,29 @@ def test_dev_script_runs(argv, expected):
     out = run_script(*argv)
     for text in expected:
         assert text in out
+
+
+TRACER_METRICS = """
+import json
+import tracer
+tr = tracer.Tracer()
+tr.install()
+for label in ("setup", "timed", "end"):
+    tr.mark(label)
+print(json.dumps(sorted(tr.metrics(1, 1, 1.0))))
+"""
+
+
+def test_benchmark_tracer_finds_every_name_it_traces():
+    # the tracer wraps llanet functions by name (GradGraph ops, tensor kernels,
+    # training and data functions), so a rename breaks a traced benchmark run;
+    # it runs in a child process, since installing it patches llanet for good
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-B", "-c", TRACER_METRICS], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    names = set(json.loads(done.stdout))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert [m["name"] for m in spec["per_layer"] if m["name"] not in names] == []

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from llanet import tensor
-from llanet.tensor import ConvSpec, DimensionError, RunningStats
+from llanet.tensor import ConvSpec, DimensionError
 
 import oracles
 
@@ -190,7 +190,7 @@ def test_conv_spec_validation():
 
 def test_batchnorm_constant_channel_is_zeroed():
     x = np.full((3, 2, 2, 2), 7.0)
-    out, _, _ = tensor.batchnorm2d(x, np.ones(2), np.zeros(2), RunningStats.fresh(2), train=True)
+    out, _, _ = tensor.batchnorm2d(x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), train=True)
     npt.assert_allclose(out, 0.0, atol=1e-12)
 
 
@@ -198,7 +198,7 @@ def test_batchnorm_gamma_zero_gives_beta():
     rng = np.random.default_rng(4)
     beta = np.array([1.5, -2.0])
     out, _, _ = tensor.batchnorm2d(rand(rng, 2, 2, 3, 3), np.zeros(2), beta,
-                                   RunningStats.fresh(2), train=True)
+                                   np.zeros(2), np.ones(2), train=True)
     npt.assert_allclose(out, beta[None, :, None, None] * np.ones((2, 2, 3, 3)))
 
 
@@ -207,7 +207,7 @@ def test_batchnorm_train_statistics_against_oracle():
     x = rand(rng, 4, 3, 2, 2) * 3 + 1
     gamma = np.array([1.0, 2.0, 0.5])
     beta = np.array([0.0, -1.0, 3.0])
-    out, _, _ = tensor.batchnorm2d(x, gamma, beta, RunningStats.fresh(3), train=True)
+    out, _, _ = tensor.batchnorm2d(x, gamma, beta, np.zeros(3), np.ones(3), train=True)
     mu, var = oracles.channel_moments_naive(out)
     npt.assert_allclose(mu, beta, atol=1e-6)
     npt.assert_allclose(var, gamma ** 2, rtol=1e-4)  # eps shrinks variance slightly
@@ -216,49 +216,50 @@ def test_batchnorm_train_statistics_against_oracle():
 def test_batchnorm_running_stats_update_and_eval():
     rng = np.random.default_rng(6)
     x = rand(rng, 4, 2, 3, 3) + 5.0
-    stats = RunningStats.fresh(2)
-    tensor.batchnorm2d(x, np.ones(2), np.zeros(2), stats, train=True)
+    running_mean, running_var = np.zeros(2), np.ones(2)
+    tensor.batchnorm2d(x, np.ones(2), np.zeros(2), running_mean, running_var, train=True)
     mu, var = oracles.channel_moments_naive(x)
     m = x.shape[0] * x.shape[2] * x.shape[3]
-    npt.assert_allclose(stats.mean, 0.1 * mu, atol=1e-12)
-    npt.assert_allclose(stats.var, 0.9 * 1.0 + 0.1 * var * m / (m - 1), atol=1e-12)
+    npt.assert_allclose(running_mean, 0.1 * mu, atol=1e-12)
+    npt.assert_allclose(running_var, 0.9 * 1.0 + 0.1 * var * m / (m - 1), atol=1e-12)
     # eval mode must use the running stats, not the batch
-    y, _, _ = tensor.batchnorm2d(np.zeros_like(x), np.ones(2), np.zeros(2), stats, train=False)
-    expected = -stats.mean / np.sqrt(stats.var + 1e-5)
+    y, _, _ = tensor.batchnorm2d(np.zeros_like(x), np.ones(2), np.zeros(2),
+                                 running_mean, running_var, train=False)
+    expected = -running_mean / np.sqrt(running_var + 1e-5)
     npt.assert_allclose(y[0, :, 0, 0], expected, atol=1e-12)
 
 
 def test_eval_batchnorm_matches_the_oracle_on_random_running_stats():
     rng = np.random.default_rng(31)
     x = rand(rng, 3, 4, 5, 5) * 2 + 1
-    stats = RunningStats(rng.normal(0.0, 1.0, 4), rng.uniform(0.1, 3.0, 4))
-    saved = stats.mean.copy(), stats.var.copy()
+    running_mean, running_var = rng.normal(0.0, 1.0, 4), rng.uniform(0.1, 3.0, 4)
+    saved = running_mean.copy(), running_var.copy()
     gamma, beta = rng.uniform(0.5, 1.5, 4), rng.normal(0.0, 0.5, 4)
-    out, mean, var = tensor.batchnorm2d(x, gamma, beta, stats, train=False)
+    out, mean, var = tensor.batchnorm2d(x, gamma, beta, running_mean, running_var, train=False)
     c = (None, slice(None), None, None)
     want = gamma[c] * (x - saved[0][c]) / np.sqrt(saved[1][c] + tensor.BN_EPS) + beta[c]
     npt.assert_allclose(out, want, rtol=0, atol=1e-12)
     # the moments it returns are copies, and the running stats stay put
     npt.assert_array_equal(mean, saved[0])
     npt.assert_array_equal(var, saved[1])
-    assert not np.shares_memory(mean, stats.mean) and not np.shares_memory(var, stats.var)
-    npt.assert_array_equal(stats.mean, saved[0])
-    npt.assert_array_equal(stats.var, saved[1])
+    assert not np.shares_memory(mean, running_mean) and not np.shares_memory(var, running_var)
+    npt.assert_array_equal(running_mean, saved[0])
+    npt.assert_array_equal(running_var, saved[1])
 
 
 def test_batchnorm_update_can_be_disabled():
     rng = np.random.default_rng(7)
-    stats = RunningStats.fresh(2)
-    tensor.batchnorm2d(rand(rng, 2, 2, 2, 2), np.ones(2), np.zeros(2), stats,
+    running_mean, running_var = np.zeros(2), np.ones(2)
+    tensor.batchnorm2d(rand(rng, 2, 2, 2, 2), np.ones(2), np.zeros(2), running_mean, running_var,
                        train=True, update_running=False)
-    npt.assert_array_equal(stats.mean, np.zeros(2))
-    npt.assert_array_equal(stats.var, np.ones(2))
+    npt.assert_array_equal(running_mean, np.zeros(2))
+    npt.assert_array_equal(running_var, np.ones(2))
 
 
 def test_batchnorm_rejects_single_value_batches():
     with pytest.raises(ValueError):
         tensor.batchnorm2d(np.zeros((1, 2, 1, 1)), np.ones(2), np.zeros(2),
-                           RunningStats.fresh(2), train=True)
+                           np.zeros(2), np.ones(2), train=True)
 
 
 # -- activations ------------------------------------------------------------------
@@ -478,5 +479,5 @@ def test_kernels_keep_finite_inputs_finite():
     for out in (tensor.conv2d(x, w, None, spec),
                 tensor.activation(x, "sigmoid"),
                 tensor.pool2d(x, "max", 2, 2),
-                tensor.batchnorm2d(x, np.ones(4), np.zeros(4), RunningStats.fresh(4), True)[0]):
+                tensor.batchnorm2d(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), True)[0]):
         assert np.isfinite(out).all()
