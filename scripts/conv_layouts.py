@@ -9,17 +9,17 @@ Examples:
 
 Runs one eval forward of PRESET on a batch of N random PX x PX images to
 collect the shape of every conv it makes, then, for each distinct conv,
-times the forward, the weight gradient (dW) and the input gradient (dx)
-in the im2col layout and in the tap layout of ``llanet.tensor`` (best of R
+times the forward, the weight gradient (dW) and the input gradient (dx) in
+the im2col layout and in the tap layout of ``llanet.tensor`` (best of R
 runs, one BLAS thread, random operands), and prints a markdown table with
 the layout the kernel's rule picks for all three parts. The timings are of
 the kernels as they run, walking the batch in blocks of at most
 ``tensor.CONV_BLOCK_BYTES``; the blocks column gives how many blocks the
-tap forward, dW and dx, and the im2col forward, take at batch N. The tap dx
-is the tap forward of the transposed conv, as ``tensor.conv2d_input_grad``
-runs it. A conv the tap layout cannot run (stride > 1, a 1x1 or non-square
-kernel, or a padding not below the kernel) shows "-" in its tap columns.
-The totals add each part of every conv in each layout and in the pick.
+forward, dW and dx of each layout take at batch N. The tap dx is the tap
+forward of the transposed conv, as ``tensor.conv2d_input_grad`` runs it. A
+conv the tap layout cannot run (stride > 1, a 1x1 or non-square kernel, or a
+padding not below the kernel) shows "-" in its tap columns. The totals add
+each part of every conv in each layout and in the pick.
 """
 
 import os
@@ -93,7 +93,7 @@ def blocks_of(fn) -> int:
 
 def time_layouts(spec, shape, repeats: int) -> tuple[dict, str]:
     """Best-of-``repeats`` milliseconds per (part, layout), None where taps
-    cannot run, and the blocks cell: taps fwd/dW/dx, then the im2col forward."""
+    cannot run, and the blocks cell: taps fwd/dW/dx, then im2col fwd/dW/dx."""
     rng = np.random.default_rng(1)
     n, _, h, w = shape
     oh, ow = tensor.conv_output_hw(spec, h, w)
@@ -112,9 +112,8 @@ def time_layouts(spec, shape, repeats: int) -> tuple[dict, str]:
     tap_ok = spec.stride == 1 and spec.kernel_w == k > 1 and spec.padding < k
     ms = {(part, layout): best_ms(fn, repeats) if layout == "im2col" or tap_ok else None
           for layout, fns in runs.items() for part, fn in zip(("fwd", "dW", "dx"), fns)}
-    blocks = f"im2col {blocks_of(runs['im2col'][0])}"
-    if tap_ok:
-        blocks = "taps " + "/".join(str(blocks_of(fn)) for fn in runs["taps"]) + ", " + blocks
+    blocks = ", ".join(f"{layout} " + "/".join(str(blocks_of(fn)) for fn in runs[layout])
+                       for layout in ("taps", "im2col") if layout == "im2col" or tap_ok)
     return ms, blocks
 
 

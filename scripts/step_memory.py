@@ -12,14 +12,16 @@ Builds PRESET at PX x PX with random weights and a random batch of N images,
 then runs one ``training.train_step`` (forward with a tape, then a backward
 sweep that folds each weight gradient into its momentum buffer as soon as it
 is final, then the update), the step ``train_epoch`` runs, on one BLAS
-thread, and reads the process's peak RSS from
-``resource.getrusage`` after it; the peak covers the whole process, weights
-and batch included. Then it runs the step's forward once more under
-``tracemalloc`` and prints the traced bytes the forward leaves alive when
-``backward`` would start: the tape, the logits and the loss. Last, it prints
-the ``tracemalloc`` peak of one no-record ``network.network_forward`` on the
-same batch, what evaluation runs: the maps of one module at a time plus a
-conv's working buffers.
+thread, and reads the process's peak RSS from ``resource.getrusage`` after
+it; the peak covers the whole process, weights and batch included. Then it
+runs the step's forward once more under ``tracemalloc`` and prints the
+traced bytes the forward leaves alive when ``backward`` starts: the tape and
+the loss. It runs that backward, handing each gradient to a sink that drops
+it, and prints the traced peak of the sweep above those bytes: the
+cotangents in flight and the adjoints' working arrays, less what the sweep
+has freed of the tape by then. Last, it prints the ``tracemalloc`` peak of
+one no-record ``network.network_forward`` on the same batch, what evaluation
+runs: the maps of one module at a time plus a conv's working buffers.
 
 A step that does not fit ends with a ``MemoryError`` message and exit 1.
 Cap the address space of the shell it runs in (``ulimit -v`` KiB) to get
@@ -67,8 +69,8 @@ def main(argv=None) -> int:
     state = training.OptimizerState(store, train_cfg)
 
     def forward():
-        graph = autodiff.GradGraph()
-        return graph, network.network_loss_graph(graph, x, labels, store, cfg, train=True)
+        graph = autodiff.GradGraph(sink=lambda name, grad: None)
+        return graph, network.network_loss_graph(graph, x, labels, store, cfg, train=True)[1]
 
     # the step's forward ends when its loss graph returns
     loss_graph, forward_done = training.network_loss_graph, []
@@ -89,9 +91,12 @@ def main(argv=None) -> int:
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
         tracemalloc.start()
         try:
-            taped = forward()
+            graph, loss = forward()
             kept = tracemalloc.get_traced_memory()[0]
-            del taped
+            tracemalloc.reset_peak()
+            graph.backward(loss)
+            backward_peak = tracemalloc.get_traced_memory()[1] - kept
+            del graph, loss
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             network.network_forward(x, store, cfg)
@@ -101,11 +106,11 @@ def main(argv=None) -> int:
     except MemoryError as e:
         print(f"does not fit: MemoryError {e}".rstrip(), file=sys.stderr)
         return 1
-    print("| forward s | backward + sgd s | forward leaves alive MiB | peak RSS MiB "
-          "| eval forward peak MiB |")
-    print("|---|---|---|---|---|")
-    print(f"| {t1 - t0:.2f} | {t2 - t1:.2f} | {kept / MIB:.0f} | {peak / MIB:.0f} "
-          f"| {eval_peak / MIB:.0f} |")
+    print("| forward s | backward + sgd s | forward leaves alive MiB "
+          "| backward peak above them MiB | peak RSS MiB | eval forward peak MiB |")
+    print("|---|---|---|---|---|---|")
+    print(f"| {t1 - t0:.2f} | {t2 - t1:.2f} | {kept / MIB:.0f} | {backward_peak / MIB:.0f} "
+          f"| {peak / MIB:.0f} | {eval_peak / MIB:.0f} |")
     return 0
 
 

@@ -33,15 +33,20 @@ outputs, ``first_non_finite`` rebuilds a failed step's forward to find the
 first one that is not finite.
 
 ``backward`` walks the tape in reverse creation order, which is a valid
-topological order. It keeps the pending cotangents itself, keyed on
-handles, accumulating them across fan-out, and frees each one as soon as its
-node's adjoint has run. It keeps a cotangent only for an input that needs a
-gradient, and the conv adjoint does not even compute the others (the weight
-gradient of a frozen gate, the input gradient of the image batch). Every
-first cotangent is kept as the adjoint sent it, and each later one makes a
-fresh sum: an adjoint may send one array to two parents (``add`` sends its
-``dy`` to both), so neither ``backward`` nor an adjoint ever writes into a
-cotangent it was given.
+topological order. It keeps the pending cotangents itself, keyed on handles,
+accumulating them across fan-out, and frees each one as soon as its node's
+adjoint has run. It frees the tape as it goes too: once a handle's adjoint
+has run, or been passed over because no cotangent reached it, the handle
+drops it, so every array that only that adjoint read dies during the sweep,
+not when the graph goes, and a train step's memory falls as the sweep moves
+back towards the input. So a graph can be backpropagated once; a second
+``backward`` raises ``RuntimeError``. It keeps a cotangent only for an input
+that needs a gradient, and the conv adjoint does not even compute the others
+(the weight gradient of a frozen gate, the input gradient of the image
+batch). Every first cotangent is kept as the adjoint sent it, and each later
+one makes a fresh sum: an adjoint may send one array to two parents (``add``
+sends its ``dy`` to both), so neither ``backward`` nor an adjoint ever
+writes into a cotangent it was given.
 
 A leaf's gradient is final once the sweep has run every adjoint down to the
 tape length at which the leaf first entered the graph, since no op taped
@@ -123,8 +128,8 @@ class Handle:
 
     A handle holds no value and never refers to its node. A taped op's handle
     carries the op's label and its adjoint ``_backprop(dy, send)``, which
-    closes over the arrays it reads and its inputs' handles; a leaf's handle
-    carries neither.
+    closes over the arrays it reads and its inputs' handles, until
+    ``backward`` has swept past it; a leaf's handle carries neither.
     """
 
     __slots__ = ("_backprop", "label")
@@ -157,13 +162,15 @@ class GradGraph:
 
     ``record=False`` builds the same values with no tape, for inference.
     ``sink(name, grad)``, when given, receives each trainable leaf's gradient
-    during ``backward`` as soon as it is final.
+    during ``backward`` as soon as it is final. ``backward`` frees the tape
+    as it sweeps, so it runs once per graph.
     """
 
     def __init__(self, record: bool = True, sink=None):
         self.record = record
         self.sink = sink
         self._tape: list[Handle] = []
+        self._swept = False
         self._leaves: dict[str, tuple[Param, Node]] = {}
         # (tape length at entry, handle, param) of each trainable leaf, in entry order
         self._entered: list[tuple[int, Handle, Param]] = []
@@ -396,12 +403,18 @@ class GradGraph:
         With no sink, returns the trainable-leaf gradients by name, in the
         order the leaves entered. With a sink, hands each one to it as soon as
         no adjoint still to run can add to it, in reverse order of entry, keeps
-        no reference to it after the sink returns, and returns None.
+        no reference to it after the sink returns, and returns None. Each
+        adjoint is dropped once the sweep is past it, so a second call raises
+        ``RuntimeError``.
         """
         if not self.record:
             raise RuntimeError("backward on a graph built with record=False")
+        if self._swept:
+            raise RuntimeError("backward already ran on this graph, and its sweep freed "
+                               "each adjoint as it went; build the graph again")
         if np.size(root.value) != 1:
             raise ValueError(f"backward needs a scalar root, got shape {np.shape(root.value)}")
+        self._swept = True
         grads = {}
         if root.handle is not None:
             grads[root.handle] = np.ones_like(root.value, dtype=DEFAULT_DTYPE)
@@ -434,8 +447,10 @@ class GradGraph:
         for index in range(len(tape) - 1, -1, -1):
             complete(index)
             handle = tape[index]
+            backprop, handle._backprop = handle._backprop, None
             if handle in grads:
-                handle._backprop(grads.pop(handle), send)
+                backprop(grads.pop(handle), send)
+            del backprop  # the arrays only this adjoint read die here
         complete(-1)
         return dict(reversed(collected.items())) if self.sink is None else None
 

@@ -88,10 +88,12 @@ def _channels_message(image_path, img, channels: int) -> str:
 def _load_split(cfg: RunConfig, which: str, evaluated: bool, trained=False) -> LoadedDataset:
     """Load a manifest's images, refusing what the network cannot read: an
     image with another channel count; for the split that ``evaluate`` crops
-    (``evaluated``), one smaller than ``eval_crop``; and for the split that
-    ``train_epoch`` batches (``trained``), one taller than its padded width
-    when augmentation is on, or, at a ``batch_size`` above 1, training
-    inputs of two sizes (the h x h crop with augmentation, else the image)."""
+    (``evaluated``), one smaller than ``eval_crop`` or, with no ``eval_crop``,
+    one whose default crop (7/8 of its shorter side) is empty; and for the
+    split that ``train_epoch`` batches (``trained``), one taller than its
+    padded width when augmentation is on, or, at a ``batch_size`` above 1,
+    training inputs of two sizes (the h x h crop with augmentation, else the
+    image)."""
     rel = cfg.train_manifest if which == "train" else cfg.val_manifest
     if rel is None:
         raise ConfigError([f"/data/{which}_manifest: required for this command"])
@@ -111,9 +113,14 @@ def _load_split(cfg: RunConfig, which: str, evaluated: bool, trained=False) -> L
         image_path = path.parent / rec.image_path
         if img.channels != channels:
             raise ConfigError([_channels_message(image_path, img, channels)])
-        if crop is not None and crop > min(img.height, img.width):
+        side = min(img.height, img.width)
+        if crop is not None and crop > side:
             raise ConfigError([f"/data/eval_crop: {crop} exceeds the {img.height}x{img.width} "
                                f"image {image_path}"])
+        if evaluated and crop is None and data_mod.default_eval_crop(side) < 1:
+            raise ConfigError([f"/data/eval_crop: unset, and the default crop (7/8 of the "
+                               f"shorter side) of the {img.height}x{img.width} image "
+                               f"{image_path} is 0 pixels"])
         if trained and pad is not None and img.height > img.width + 2 * pad:
             raise ConfigError([f"/data/augment/pad: the {img.height}x{img.width} image "
                                f"{image_path} is taller than its width padded by {pad} a side"])

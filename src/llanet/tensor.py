@@ -5,13 +5,13 @@ height, width - stored row-major, float64 by default. The forward kernels
 here are the only copy of the forward math: the ops of ``llanet.autodiff``
 take their values from them, and their adjoints rebuild what only the
 backward pass needs with the helpers here: ``conv2d_weight_grad`` and
-``conv2d_input_grad`` for the conv, ``_conv_windows`` for the window views
-of the im2col dW and the max pool, and ``_normalize``, which batch norm's
-train-mode kernel and its adjoint share so both normalize with the same
-``BN_EPS``. ``batchnorm2d`` returns the per-channel moments it normalized
-with, which its adjoint reads; in eval mode it is the fixed per-channel
-affine map ``x * scale + shift``. Batch norm's running mean and variance are
-two arrays the caller owns and passes in (the network's are entries of its
+``conv2d_input_grad`` for the conv, ``_conv_windows`` for the max pool's
+window view, and ``_normalize``, which batch norm's train-mode kernel and
+its adjoint share so both normalize with the same ``BN_EPS``.
+``batchnorm2d`` returns the per-channel moments it normalized with, which
+its adjoint reads; in eval mode it is the fixed per-channel affine map
+``x * scale + shift``. Batch norm's running mean and variance are two arrays
+the caller owns and passes in (the network's are entries of its
 ``ParamStore``); train mode updates them in place, so kernels keep no hidden
 state.
 
@@ -22,9 +22,10 @@ directly, so the concat is never formed. A conv runs in one of two layouts,
 picked from its shapes alone:
 
 - im2col: the sliding-window view is copied to a (n, c*kh*kw, oh*ow) column
-  matrix for one GEMM per image with K = c*kh*kw. Its adjoint takes dW by
-  ``tensordot`` over the window view of the whole padded batch, and dx by
-  one GEMM into the column shape plus a kh*kw-pass col2im.
+  matrix for one GEMM per image with K = c*kh*kw. Its adjoint takes dW as
+  one GEMM dy_i @ cols_i^T per image on the same column copy, the products
+  added in image order, and dx as one GEMM W^T @ dy_i per image into the
+  column shape plus a kh*kw-pass col2im.
 - taps (stride 1 only; the kn2row/MEC family of low-memory convs): the input
   is zero-padded into (n, c, hp + 1, wp) and viewed flat as
   (n, c, (hp + 1) * wp). Kernel tap (i, j) reads the slice at offset
@@ -38,21 +39,22 @@ picked from its shapes alone:
   the transposed conv: dy correlated with the flipped kernel, in and out
   channels swapped, at padding k - 1 - p.
 
-The tap forward and dW, and so the tap dx, and the im2col forward walk the
-batch in blocks (``_padded_blocks``): as many images as fit
-``CONV_BLOCK_BYTES`` with their padded input and output (and, for im2col,
-their share of the column matrix), at least one. Each block is padded into
-one reused buffer, and the block's GEMMs run on it. The small-channel convs
-of a ``tiny`` step (K = 3 to 32) are bound by memory traffic, not by FLOPs:
-at batch 35 and 32 px a whole-batch padded input, output and tap partial
-are about 2.4 MB each, so each of the kh*kw tap GEMMs would stream them
-from L3. The budget, 1 MiB, is about half of a core's L2 on the reference
-machine, leaving room for the weights and the partial sums. A batch that
-fits one block takes the loop once on the whole batch, and the largest
-im2col column matrix is one block's. Each image's GEMMs and the order of
-every sum are those of a whole-batch pass, so blocking changes no bit, save
-in the tap dW of a conv with one in and one out channel, whose per-image
-products NumPy sums pairwise rather than in order.
+The forward, dW and dx of both layouts walk the batch in blocks
+(``_padded_blocks``; the tap dx is a tap forward, and the im2col dx walks
+dy): as many images as fit ``CONV_BLOCK_BYTES`` with their padded input and
+output (and, for im2col, their share of the column matrix), at least one.
+Each block is padded into one reused buffer, and the block's GEMMs run on
+it. The small-channel convs of a ``tiny`` step (K = 3 to 32) are bound by
+memory traffic, not by FLOPs: at batch 35 and 32 px a whole-batch padded
+input, output and tap partial are about 2.4 MB each, so each of the kh*kw
+tap GEMMs would stream them from L3. The budget, 1 MiB, is about half of a
+core's L2 on the reference machine, leaving room for the weights and the
+partial sums. A batch that fits one block takes the loop once on the whole
+batch, and no im2col column matrix, nor its gradient, is ever larger than
+one block's. Each image's GEMMs and the order of every sum are those of a
+whole-batch pass, so blocking changes no bit, save in the tap dW of a conv
+with one in and one out channel, whose per-image products NumPy sums
+pairwise rather than in order.
 
 Taps pay a copy of the weight permuted to (kh, kw, o, c) per call and run
 GEMMs with K = c rather than c*kh*kw; both outweigh the saved column matrix
@@ -306,14 +308,23 @@ def _tap_offsets(spec: ConvSpec, wp: int) -> list[int]:
     return [i * wp + j for i in range(spec.kernel_h) for j in range(spec.kernel_w)]
 
 
+def _im2col_images(n: int, c: int, h: int, w: int, spec: ConvSpec, oh: int, ow: int,
+                   dtype) -> int:
+    """Images per im2col batch block, which holds their padded input, their
+    column matrix and their output; the forward and both adjoints walk these."""
+    p, k = spec.padding, c * spec.kernel_h * spec.kernel_w
+    return _block_images(n, dtype.itemsize * (c * (h + 2 * p) * (w + 2 * p)
+                                              + (k + spec.out_channels) * oh * ow))
+
+
 def _im2col_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     n, c, h, w = _conv_input_shape(x)
-    p, o, k = spec.padding, spec.out_channels, c * spec.kernel_h * spec.kernel_w
+    o, k = spec.out_channels, c * spec.kernel_h * spec.kernel_w
     dtype = np.result_type(weight, *_conv_parts(x))
-    images = _block_images(n, dtype.itemsize * (c * (h + 2 * p) * (w + 2 * p) + (k + o) * oh * ow))
+    images = _im2col_images(n, c, h, w, spec, oh, ow, dtype)
     wmat = weight.reshape(o, k)
     out = np.empty((n, o, oh * ow), dtype=dtype)
-    for s, e, block in _padded_blocks(x, p, 0, images):
+    for s, e, block in _padded_blocks(x, spec.padding, 0, images):
         cols = _windows(block, spec.kernel_h, spec.kernel_w, spec.stride, oh, ow)
         np.matmul(wmat, cols.reshape(e - s, k, oh * ow), out=out[s:e])
     return out.reshape(n, o, oh, ow)
@@ -342,8 +353,26 @@ def _tap_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
 
 
 def _im2col_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
-    windows = _conv_windows(x, spec.kernel_h, spec.kernel_w, spec.stride, spec.padding)
-    return np.tensordot(dy, windows, axes=([0, 2, 3], [0, 4, 5])).reshape(spec.weight_shape)
+    n, o, oh, ow = dy.shape
+    _, c, h, w = _conv_input_shape(x)
+    dtype = np.result_type(dy, *_conv_parts(x))
+    if n == 0:
+        return np.zeros(spec.weight_shape, dtype=dtype)
+    k = c * spec.kernel_h * spec.kernel_w
+    images = _im2col_images(n, c, h, w, spec, oh, ow, dtype)
+    # one GEMM dy_i @ cols_i^T per image on its forward-layout column copy,
+    # the products added in image order; the first goes straight into dW, so
+    # batch 1 needs no scratch
+    dw = np.empty((o, k), dtype=dtype)
+    prod = np.empty_like(dw) if n > 1 else None
+    for s, e, block in _padded_blocks(x, spec.padding, 0, images):
+        cols = _windows(block, spec.kernel_h, spec.kernel_w, spec.stride, oh, ow)
+        for i in range(s, e):
+            np.matmul(dy[i].reshape(o, oh * ow), cols[i - s].reshape(k, oh * ow).T,
+                      out=prod if i else dw)
+            if i:
+                dw += prod
+    return dw.reshape(spec.weight_shape)
 
 
 def _tap_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
@@ -376,15 +405,20 @@ def _tap_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
 
 
 def _im2col_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
-    n, _, oh, ow = dy.shape
-    wmat = weight.reshape(spec.out_channels, -1)
-    dcols = np.matmul(wmat.T, dy.reshape(n, spec.out_channels, oh * ow))
-    dwin = dcols.reshape(n, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
-    p, s = spec.padding, spec.stride
-    dxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
-    for i in range(spec.kernel_h):
-        for j in range(spec.kernel_w):
-            dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, :, i, j]
+    n, o, oh, ow = dy.shape
+    c, kh, kw, p, st = spec.in_channels, spec.kernel_h, spec.kernel_w, spec.padding, spec.stride
+    dtype = np.result_type(weight, dy)
+    images = _im2col_images(n, c, h, w, spec, oh, ow, dtype)
+    wmat = weight.reshape(o, -1)
+    dcols = np.empty((images, c * kh * kw, oh * ow), dtype=dtype)
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dtype)
+    # each block's column gradient W^T dy, then its col2im into the block's rows
+    for s, e, d in _padded_blocks(dy, 0, 0, images):
+        np.matmul(wmat.T, d.reshape(e - s, o, oh * ow), out=dcols[:e - s])
+        dwin = dcols[:e - s].reshape(e - s, c, kh, kw, oh, ow)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[s:e, :, i:i + st * oh:st, j:j + st * ow:st] += dwin[:, :, i, j]
     return dxp[:, :, p:p + h, p:p + w] if p else dxp
 
 

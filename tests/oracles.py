@@ -38,6 +38,27 @@ def conv2d_naive(x, weight, bias, stride, padding):
     return out
 
 
+def conv2d_weight_grad_fsum(x, dy, kh, kw, stride, padding):
+    """Conv weight gradient with each entry correctly rounded: one math.fsum
+    over its n*oh*ow products. Also returns each entry's sum of product
+    magnitudes, the scale any summation order's rounding error is bounded by."""
+    n, c, h, w = x.shape
+    _, oc, oh, ow = dy.shape
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    exact = np.zeros((oc, c, kh, kw))
+    scale = np.zeros((oc, c, kh, kw))
+    for o in range(oc):
+        for ci in range(c):
+            for ki in range(kh):
+                for kj in range(kw):
+                    window = xp[:, ci, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+                    products = (dy[:, o] * window).ravel().tolist()
+                    exact[o, ci, ki, kj] = math.fsum(products)
+                    scale[o, ci, ki, kj] = math.fsum(abs(p) for p in products)
+    return exact, scale
+
+
 def linear_naive(x, weight, bias):
     """Triple-loop affine map."""
     n, d = x.shape

@@ -672,6 +672,40 @@ def test_tape_is_freed_by_reference_counting():
         gc.enable()
 
 
+def test_backward_frees_each_adjoints_arrays_as_it_sweeps():
+    # 40 ReLUs on a 1 MiB map: each adjoint keeps its own output, 40 MiB in all
+    mib = 1 << 20
+    x = Param("x", np.random.default_rng(11).standard_normal((1, 1, 256, 512)))
+    probe = np.ones_like(x.value)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = GradGraph()
+        y = g.leaf(x)
+        for _ in range(40):
+            y = g.relu(y)
+        root = g.weighted_sum(y, probe)
+        del y
+        taped = tracemalloc.get_traced_memory()[0] - before
+        grads = g.backward(root)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert taped > 40 * mib
+    # the graph and its root are still referenced, yet only the gradient is left
+    assert len(g._tape) == 41 and root.handle is not None
+    assert grads["x"].nbytes == mib and left < 2 * mib
+
+
+def test_a_graph_can_be_backpropagated_once():
+    x = Param("x", np.random.default_rng(12).standard_normal((1, 2, 3, 3)))
+    g = GradGraph()
+    root = ones_probe(g, g.relu(g.leaf(x)))
+    npt.assert_array_equal(g.backward(root)["x"], x.value > 0)
+    with pytest.raises(RuntimeError, match="already ran on this graph"):
+        g.backward(root)
+
+
 def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch, module_spy):
     # micro plus a downsampling module, so a shortcut batch norm is built too
     cfg = dataclasses.replace(network.preset("micro"), stages=(

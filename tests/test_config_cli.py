@@ -459,6 +459,19 @@ def test_cli_refuses_an_eval_crop_larger_than_an_image(command, cli_root, traine
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_refuses_an_empty_default_eval_crop(command, cli_root, trained_run, tmp_path,
+                                                capsys):
+    # with no eval_crop, evaluate crops 7/8 of each image's shorter side: 0 px at 1 px
+    config, images = sized_config(cli_root, tmp_path, [(1, 1), (1, 1)], batch_size=2)
+    checkpoint = ("--checkpoint", trained_run / "best.ckpt") if command == "eval" else ()
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", config, *checkpoint, "--out", out) == 2
+    assert (f"/data/eval_crop: unset, and the default crop (7/8 of the shorter side) of "
+            f"the 1x1 image {images[0]} is 0 pixels" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def gray_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("gray")

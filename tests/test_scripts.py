@@ -26,8 +26,8 @@ def run_script(*argv) -> str:
     (("heap_faults.py", "micro", "--size", "8", "--batch", "2", "--steps", "1"),
      ["| step | wall s | user s | sys s | minor faults |", "| train step |"]),
     (("step_memory.py", "micro", "--size", "8", "--batch", "2"),
-     ["| forward s | backward + sgd s | forward leaves alive MiB | peak RSS MiB "
-      "| eval forward peak MiB |"]),
+     ["| forward s | backward + sgd s | forward leaves alive MiB "
+      "| backward peak above them MiB | peak RSS MiB | eval forward peak MiB |"]),
     (("code_lines.py",), ["src/llanet/autodiff.py", "total"]),
 ])
 def test_dev_script_runs(argv, expected):

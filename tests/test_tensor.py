@@ -140,13 +140,8 @@ def test_conv_batch_blocks_are_bit_identical_to_one_block(monkeypatch, stride, p
     monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", budget)
     for got, want in zip(run(), whole):
         assert got.tobytes() == want.tobytes()
-    # taps block the forward, dW and dx; im2col only the forward (its dW
-    # pads the whole batch in one block, and its dx pads nothing)
-    if on_taps:
-        assert len(walks) == 3
-    else:
-        assert len(walks) == 2 and walks[1] == [(0, 5)]
-        walks = walks[:1]
+    # both layouts block the forward, dW and dx (the im2col dx walks dy)
+    assert len(walks) == 3
     for walk in walks:
         sizes = [stop - start for start, stop in walk]
         assert walk[0][0] == 0 and walk[-1][1] == 5 and sum(sizes) == 5
@@ -172,6 +167,46 @@ def test_blocked_im2col_forward_never_forms_the_whole_column_matrix(monkeypatch)
         tracemalloc.stop()
     assert out.tobytes() == whole.tobytes()
     assert peak < columns / 4
+
+
+def test_blocked_im2col_adjoint_never_forms_the_whole_column_matrix(monkeypatch):
+    rng = np.random.default_rng(42)
+    spec = ConvSpec(64, 4, 5, 5, padding=2, has_bias=False)  # many out channels: im2col
+    x, weight = rand(rng, 16, 4, 16, 16), rand(rng, *spec.weight_shape)
+    dy = rand(rng, 16, 64, 16, 16)
+    assert not tensor._on_taps(spec, 16, 16)
+    columns = x.shape[0] * 4 * 25 * 16 * 16 * x.itemsize  # (n, c*kh*kw, oh*ow)
+
+    parts = (lambda: tensor.conv2d_weight_grad(x, dy, spec),
+             lambda: tensor.conv2d_input_grad(weight, dy, spec, 16, 16))
+    whole = [part() for part in parts]
+    walks = spy_blocks(monkeypatch)
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 1)
+    for part, want in zip(parts, whole):
+        tracemalloc.start()
+        try:
+            got = part()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < columns / 4
+    assert [len(walk) for walk in walks] == [16, 16]
+
+
+@pytest.mark.parametrize("budget", [tensor.CONV_BLOCK_BYTES, 1])
+@pytest.mark.parametrize("kernel, stride, padding", [(3, 2, 1), (1, 2, 0), (3, 1, 1)])
+def test_im2col_weight_grad_within_an_fsum_oracle(monkeypatch, budget, kernel, stride, padding):
+    rng = np.random.default_rng(43)
+    spec = ConvSpec(12, 3, kernel, kernel, stride=stride, padding=padding)
+    x = rand(rng, 4, 3, 9, 9)
+    oh, ow = tensor.conv_output_hw(spec, 9, 9)
+    assert not tensor._on_taps(spec, oh, ow)
+    dy = rand(rng, 4, 12, oh, ow)
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", budget)
+    got = tensor.conv2d_weight_grad(x, dy, spec)
+    exact, scale = oracles.conv2d_weight_grad_fsum(x, dy, kernel, kernel, stride, padding)
+    assert np.all(np.abs(got - exact) <= 1e-12 * scale)
 
 
 def test_conv_spec_validation():
