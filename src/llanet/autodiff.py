@@ -75,20 +75,21 @@ refers to the graph, so a tape holds no reference cycle and is freed by
 reference counting as soon as its last reference goes.
 
 ``grad_check`` verifies any loss-building function against central
-differences. Besides the taped forward for the gradients, it builds the
-unperturbed forward once on a graph with no tape and keeps each op's output
-by its position in the op sequence: one forward's op outputs, held for the
-duration of one ``grad_check`` call. Each +/- eps re-evaluation then runs on
-a tape-free replay graph in which the nudged param's leaf carries a marker
-handle. An op runs again only when one of its inputs carries the marker or a
-raw array argument (such as batch norm's running arrays) may share memory
-with the param, and its output then carries the marker too; every other op
-returns its kept output, which its kernel would compute again bit for bit
-from the same inputs. So a nudge of the head's weight re-runs the head and
-the loss, not the stem, and the report is the one fresh graphs would give.
-A re-evaluation whose op sequence differs from the unperturbed one raises
-rather than reuse a stale value. A gradient or difference that is not
-finite counts as an infinite error, so it can never pass a tolerance.
+differences. Its taped forward, for the gradients, also keeps each op's
+output by its position in the op sequence: one forward's op outputs, held
+for the duration of one ``grad_check`` call. Each +/- eps re-evaluation
+then runs on a tape-free replay graph under the rule ``backward`` uses for
+leaves: ops run in tape order, so no op before the forward first reads the
+nudged param can depend on it. Until then, each op returns its kept output,
+which its kernel would compute again bit for bit from the same inputs. The
+first read is the param's leaf entering, a constant sharing its memory, or
+an op getting a raw array argument (such as batch norm's running arrays)
+that may share it, and from that op on every op runs again. So a nudge of
+the head's weight re-runs the head and the loss, not the stem, and the
+report is the one fresh graphs would give. A re-evaluation whose op
+sequence differs from the unperturbed one raises rather than reuse a stale
+value. A gradient or difference that is not finite counts as an infinite
+error, so it can never pass a tolerance.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ class GradGraph:
 
         def backprop(dy, send):
             n, c, oh, ow = dy.shape
-            windows = tensor._conv_windows(xv, window, window, stride, 0)
+            windows = tensor._windows(xv, window, window, stride, oh, ow)
             winner = windows.reshape(n, c, window * window, oh, ow).argmax(axis=2)
             dx = np.zeros_like(xv)
             ni, ci, oi, oj = np.indices((n, c, oh, ow))
@@ -510,61 +511,47 @@ class GradCheckReport:
     checked: int = 0
 
 
-# The op methods of GradGraph, each of which a replay re-runs or reuses by
-# position. An op left out is still right on a replay, just never reused.
-_OPS = ("conv2d", "batchnorm2d", "relu", "sigmoid", "concat_channels", "hadamard", "add",
-        "maxpool", "global_avg_pool", "flatten", "linear", "softmax_cross_entropy",
-        "weighted_sum")
+# The op methods of GradGraph, each of which a replay re-runs or reuses by position.
+_OPS = tuple(name for name, fn in vars(GradGraph).items() if callable(fn)
+             and not name.startswith("_") and name not in ("leaf", "constant", "backward"))
 
 
 class _Replay(GradGraph):
-    """A graph with no tape that re-evaluates a forward after one param moved.
+    """A graph that re-evaluates a forward after one param moved.
 
     ``outputs`` holds the unperturbed forward's op outputs by position, as
-    ``(op name, label, value)``. With ``nudged`` None the graph runs every op
-    and appends its output there. Otherwise the leaf of ``nudged``, and any
-    leaf or constant sharing memory with it, carries a marker handle, and an
-    op runs again only when an input carries the marker or a raw array
-    argument may share memory with ``nudged``. The op itself is
-    ``GradGraph``'s, looked up at call time, and its output carries the
-    marker. Any other op returns the output kept at its position. Each
-    position must call the op kept there, and an op that runs again must give
-    an output of the kept shape, or ``RuntimeError`` names the position.
+    ``(op name, label, value)``. With ``nudged`` None the graph records a
+    tape, runs every op and appends its output there. Otherwise it records
+    none, and returns the output kept at each position until the forward
+    first reads ``nudged``: its leaf, or a leaf or constant sharing memory
+    with it, enters, or an op gets a raw array argument that may share memory
+    with it. From that op on, every op runs again as ``GradGraph``'s, looked
+    up at call time. Each position must call the op kept there, and an op
+    that runs again must give an output of the kept shape, or
+    ``RuntimeError`` names the position.
     """
 
     def __init__(self, outputs: list, nudged: Param | None = None):
-        super().__init__(record=False)
+        super().__init__(record=nudged is None)
         self._outputs = outputs
         self._nudged = nudged
-        self._marker = Handle()
+        self._live = nudged is None
         self._at = 0
 
-    def _record(self, value, backprop, label, *inputs) -> Node:
-        # only an op that runs gets here, and on a replay that is one the nudge reaches
-        return Node(value, label, self._marker)
-
-    def _mark(self, node: Node) -> Node:
-        if self._nudged is not None and np.may_share_memory(node.value, self._nudged.value):
-            node.handle = self._marker
-        return node
+    def _reads(self, value) -> bool:
+        """Go live if ``value`` may share memory with ``nudged``; whether the replay is live."""
+        self._live = self._live or np.may_share_memory(value, self._nudged.value)
+        return self._live
 
     def leaf(self, param: Param) -> Node:
-        return self._mark(super().leaf(param))
+        node = super().leaf(param)
+        self._reads(node.value)
+        return node
 
     def constant(self, value) -> Node:
-        return self._mark(super().constant(value))
-
-    def _reads_nudged(self, args) -> bool:
-        for x in args:
-            if isinstance(x, Node):
-                if x.handle is not None:
-                    return True
-            elif isinstance(x, tuple):
-                if self._reads_nudged(x):
-                    return True
-            elif isinstance(x, np.ndarray) and np.may_share_memory(x, self._nudged.value):
-                return True
-        return False
+        node = super().constant(value)
+        self._reads(node.value)
+        return node
 
     def _op(self, name, args, kwargs) -> Node:
         at, outputs = self._at, self._outputs
@@ -578,8 +565,12 @@ class _Replay(GradGraph):
             raise RuntimeError(f"re-evaluation op {at} is {name}, but the unperturbed "
                                f"forward's op {at} is {kept[0]}")
         _, label, value = kept
-        if not (self._reads_nudged(args) or self._reads_nudged(kwargs.values())):
-            return Node(value, label)
+        if not self._live:
+            for x in (*args, *kwargs.values()):
+                if isinstance(x, np.ndarray) and self._reads(x):
+                    break
+            else:
+                return Node(value, label)
         node = getattr(GradGraph, name)(self, *args, **kwargs)
         if np.shape(node.value) != np.shape(value):
             raise RuntimeError(f"re-evaluation op {at} ({name}) has shape {np.shape(node.value)}, "
@@ -615,22 +606,21 @@ def grad_check(make_loss, params, eps: float = 1e-5, max_entries: int | None = N
 
     ``make_loss(graph)`` builds the loss on ``graph`` from the params'
     *current* values and returns the loss node. It runs once on a recording
-    graph for the tape gradients, once on a tape-free graph that keeps each
-    op's output by position, then once for each entry nudged in place by
-    +/- ``eps`` on a tape-free replay that runs again only the ops the nudge
-    reaches. So it must build the same op sequence each time, or a
-    re-evaluation raises ``RuntimeError``, and read a param only through
-    ``graph.leaf`` or by passing the param's own array to ``graph.constant``
-    or to an op: a copy made from it goes unnoticed. The kept outputs cost
-    one forward's memory for the duration of the call. ``select`` optionally
-    maps a param name to a boolean mask of entries eligible for checking
-    (e.g. to stay away from ReLU kinks); ``max_entries`` caps the per-param
-    count by random subsampling.
+    graph that also keeps each op's output by position, for the tape
+    gradients, then once for each entry nudged in place by +/- ``eps`` on a
+    tape-free replay that reuses the kept outputs up to the first op that
+    reads the param and runs every op from there. So it must build the same
+    op sequence each time, or a re-evaluation raises ``RuntimeError``, and
+    read a param only through ``graph.leaf`` or by passing the param's own
+    array to ``graph.constant`` or to an op: a copy made from it goes
+    unnoticed. The kept outputs cost one forward's memory for the duration
+    of the call. ``select`` optionally maps a param name to a boolean mask
+    of entries eligible for checking (e.g. to stay away from ReLU kinks);
+    ``max_entries`` caps the per-param count by random subsampling.
     """
-    graph = GradGraph()
-    analytic = graph.backward(make_loss(graph))
     outputs = []
-    make_loss(_Replay(outputs))
+    graph = _Replay(outputs)
+    analytic = graph.backward(make_loss(graph))
     rng = np.random.default_rng(0) if rng is None else rng
     report = GradCheckReport()
     for param in params:

@@ -86,9 +86,19 @@ class DatasetManifest:
         return {name: int(n) for name, n in zip(LABEL_NAMES, self.class_counts())}
 
 
+def _csv_rows(text: str):
+    """The rows of a manifest's CSV; one the reader refuses, such as a field
+    holding a bare CR, raises ``ManifestError`` with its line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise ManifestError(f"unreadable CSV: {e}", reader.line_num) from None
+
+
 def parse_manifest(text: str) -> DatasetManifest:
     """Parse manifest CSV; errors carry 1-based line numbers."""
-    rows = csv.reader(io.StringIO(text))
+    rows = _csv_rows(text)
     try:
         header = next(rows)
     except StopIteration:

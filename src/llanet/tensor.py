@@ -5,7 +5,7 @@ height, width - stored row-major, float64 by default. The forward kernels
 here are the only copy of the forward math: the ops of ``llanet.autodiff``
 take their values from them, and their adjoints rebuild what only the
 backward pass needs with the helpers here: ``conv2d_weight_grad`` and
-``conv2d_input_grad`` for the conv, ``_conv_windows`` for the max pool's
+``conv2d_input_grad`` for the conv, ``_windows`` for the max pool's
 window view, and ``_normalize``, which batch norm's train-mode kernel and
 its adjoint share so both normalize with the same ``BN_EPS``.
 ``batchnorm2d`` returns the per-channel moments it normalized with, which
@@ -281,16 +281,6 @@ def _windows(xp, kh, kw, stride, oh, ow):
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-
-
-def _conv_windows(x, kh, kw, stride, padding):
-    """Read-only sliding-window view (n, c, kh, kw, oh, ow) over the padded
-    input, the whole batch padded in one buffer."""
-    n, c, h, w = _conv_input_shape(x)
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    (_, _, xp), = _padded_blocks(x, padding, 0, max(n, 1))
-    return _windows(xp, kh, kw, stride, oh, ow)
 
 
 def _on_taps(spec: ConvSpec, oh: int, ow: int) -> bool:
@@ -594,8 +584,8 @@ def pool2d(x, kind: str, window: int | None = None, stride: int | None = None) -
         raise DimensionError(f"window {window} exceeds height {h}", axis="height")
     if window > w:
         raise DimensionError(f"window {window} exceeds width {w}", axis="width")
-    windows = _conv_windows(x, window, window, stride, 0)
-    return windows.max(axis=(2, 3))
+    oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+    return _windows(x, window, window, stride, oh, ow).max(axis=(2, 3))
 
 
 def linear(x, weight, bias) -> np.ndarray:

@@ -319,8 +319,14 @@ def plain_grad_check(make_loss, params, eps=1e-5, max_entries=None, rng=None):
     return report
 
 
-def micro_loss(seed):
-    cfg = network.preset("micro")
+def projected_config():
+    """micro plus a downsampling module, so a shortcut and an align conv are built too."""
+    return dataclasses.replace(network.preset("micro"), stages=(
+        network.StageSpec(1, 4, 1), network.StageSpec(1, 8, 2)))
+
+
+def micro_loss(seed, cfg=None):
+    cfg = network.preset("micro") if cfg is None else cfg
     store = network.init_network(cfg)
     x = np.random.default_rng(seed).standard_normal((2, *cfg.input_shape))
 
@@ -332,40 +338,45 @@ def micro_loss(seed):
 
 
 def raw_array_loss(seed):
-    # w reaches the loss as a leaf, as a constant over its own array, as
-    # weighted_sum's weights and through v, a param over a view of it; a
-    # replay that missed any of the last three would reuse a stale value. The
-    # tape sees only the leaves, so w's and v's numeric gradients exceed their
-    # tape ones; with a, the probe and so every path's slope positive, their
-    # relative errors stay below 1 and move with each path.
+    # w is first read as a constant over its own array, u as weighted_sum's
+    # weights and v, a param over a view of w, through that same constant;
+    # each enters as a leaf only later. A replay that missed any of these
+    # first reads would reuse a stale value. The tape sees only the leaves,
+    # so their numeric gradients exceed their tape ones; with a, the probe
+    # and so every path's slope positive, their relative errors stay below 1
+    # and move with each path.
     rng = np.random.default_rng(seed)
     a = Param("a", 0.5 + rng.random((1, 2, 3, 3)))
     w = Param("w", rng.standard_normal((1, 2, 3, 3)))
     v = Param("v", w.value[:, :1])
     probe = 0.5 + rng.random((1, 2, 3, 3))
+    u = Param("u", rng.standard_normal((1, 2, 3, 3)))
 
     def make_loss(g):
         la = g.leaf(a)
         through_constant = g.weighted_sum(g.hadamard(la, g.constant(w.value)), probe)
-        as_weights = g.weighted_sum(g.sigmoid(la), w.value)
-        leaves = g.add(g.weighted_sum(g.leaf(w), probe),
+        as_weights = g.weighted_sum(g.sigmoid(la), u.value)
+        leaves = g.add(g.add(g.weighted_sum(g.leaf(w), probe), g.weighted_sum(g.leaf(u), probe)),
                        g.weighted_sum(g.leaf(v), probe[:, :1]))
         return g.add(g.add(through_constant, as_weights), leaves)
 
-    return make_loss, [a, w, v]
+    return make_loss, [a, w, v, u]
 
 
-@pytest.mark.parametrize("case", ["micro", "raw_arrays"])
+@pytest.mark.parametrize("case", ["micro", "projected", "raw_arrays"])
 def test_grad_check_matches_fresh_graphs_bit_for_bit(case):
-    if case == "micro":
-        make_loss, store = micro_loss(24)
+    if case != "raw_arrays":
+        make_loss, store = micro_loss(24, projected_config() if case == "projected" else None)
         params, max_entries = store.trainable(), 3
     else:
         (make_loss, params), max_entries = raw_array_loss(25), None
-    want = plain_grad_check(make_loss, params, max_entries=max_entries,
-                            rng=np.random.default_rng(26))
-    got = grad_check(make_loss, params, max_entries=max_entries, rng=np.random.default_rng(26))
-    assert got.checked > 0 and got == want
+    # one param at a time, so no param's error can hide a stale value in another's
+    for param in params:
+        want = plain_grad_check(make_loss, [param], max_entries=max_entries,
+                                rng=np.random.default_rng(26))
+        got = grad_check(make_loss, [param], max_entries=max_entries,
+                         rng=np.random.default_rng(26))
+        assert got.checked > 0 and got == want, param.name
 
 
 def spy_ops(monkeypatch):
@@ -378,22 +389,37 @@ def spy_ops(monkeypatch):
     return ran
 
 
+def ops_per_graph(ran, make_loss, param):
+    """The ops each graph of a one-entry ``grad_check`` of ``param`` ran, in graph order."""
+    ran.clear()
+    report = grad_check(make_loss, [param], max_entries=1)
+    assert report.checked == 1 and report.max_error < 1e-4
+    graphs = list(dict.fromkeys(g for g, _ in ran))  # in the order they ran an op
+    return [[op for g, op in ran if g is graph] for graph in graphs]
+
+
 def test_grad_check_reruns_only_the_ops_a_nudge_reaches(monkeypatch):
     make_loss, store = micro_loss(27)
     ran = spy_ops(monkeypatch)
-
-    def ops_per_graph(name):
-        ran.clear()
-        report = grad_check(make_loss, [store[name]], max_entries=1)
-        assert report.checked == 1 and report.max_error < 1e-4
-        graphs = list(dict.fromkeys(g for g, _ in ran))  # in the order they ran an op
-        return [[op for g, op in ran if g is graph] for graph in graphs]
-
-    # the taped graph, the replay that keeps the outputs, then two re-evaluations
-    taped, kept, *nudged = ops_per_graph("head.weight")
-    assert taped == kept and taped[0] == "conv2d" and len(taped) > 10
+    # the taped graph, which keeps the outputs, then two re-evaluations
+    taped, *nudged = ops_per_graph(ran, make_loss, store["head.weight"])
+    assert taped[0] == "conv2d" and len(taped) > 10
     assert nudged == [["linear", "softmax_cross_entropy"]] * 2
-    assert ops_per_graph("stem.conv.weight") == [taped] * 4
+    assert ops_per_graph(ran, make_loss, store["stem.conv.weight"]) == [taped] * 3
+
+
+def test_a_nudge_reruns_every_op_from_its_params_first_read(monkeypatch):
+    make_loss, store = micro_loss(31, projected_config())
+    ran = spy_ops(monkeypatch)
+    taped, *nudged = ops_per_graph(ran, make_loss, store["s1b0.conv1.weight"])
+    rerun = taped[len(taped) - len(nudged[0]):]
+    assert nudged == [rerun] * 2
+    # the re-runs start at the fifth conv, the downsampling module's conv1
+    # (after the stem's and the first module's conv1, conv2 and gate), and
+    # take in its shortcut and align convs, which read only the module's input
+    assert taped[:len(taped) - len(rerun)].count("conv2d") == 4
+    assert rerun[:3] == ["conv2d", "batchnorm2d", "relu"] and rerun.count("conv2d") == 5
+    assert rerun[-2:] == ["linear", "softmax_cross_entropy"]
 
 
 @pytest.mark.parametrize("change", ["inserted", "trailing", "reshaped"])
@@ -405,12 +431,12 @@ def test_grad_check_rejects_a_loss_that_changes_its_ops(change):
     def make_loss(g):
         built.append(g)
         y = g.leaf(x)
-        if len(built) > 2 and change == "inserted":
+        if len(built) > 1 and change == "inserted":
             y = g.relu(y)
-        if len(built) > 2 and change == "reshaped":
+        if len(built) > 1 and change == "reshaped":
             y = g.constant(x.value[:, :1])  # a view of x, so the sigmoid runs again
         loss = ones_probe(g, g.sigmoid(y))
-        if len(built) == 2 and change == "trailing":
+        if len(built) == 1 and change == "trailing":
             g.relu(y)  # only the unperturbed forward runs a third op
         return loss
 
@@ -707,9 +733,7 @@ def test_a_graph_can_be_backpropagated_once():
 
 
 def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch, module_spy):
-    # micro plus a downsampling module, so a shortcut batch norm is built too
-    cfg = dataclasses.replace(network.preset("micro"), stages=(
-        network.StageSpec(1, 4, 1), network.StageSpec(1, 8, 2)))
+    cfg = projected_config()  # so a shortcut batch norm is built too
     store = network.init_network(cfg)
     x = np.random.default_rng(16).standard_normal((2, *cfg.input_shape))
     made = {}  # what made an output -> weak references to the output values
@@ -732,28 +756,29 @@ def test_tape_keeps_only_what_an_adjoint_reads(monkeypatch, module_spy):
     # read by its batch norm's adjoint and stays alive
     spy(GradGraph, "conv2d", when=lambda graph, x, *rest: isinstance(x, tuple))
 
-    def make_loss(g):
-        made.clear()
-        module_spy.modules.clear()
-        gc.disable()  # only reference counting may free a value
-        try:
-            logits, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
-                                                      update_running=False)
-            if g.record:  # the tape is alive: the outputs no adjoint reads are not
-                # every batch-norm output (stem, bn1, bn2, shortcut), both residual
-                # sums and both pre-sigmoid gate outputs; no gate forms a concat
-                assert {k: len(v) for k, v in made.items()} == {
-                    "batchnorm2d": 6, "add": 2, "conv2d": 2}
-                assert [k for k, refs in made.items() if any(r() is not None for r in refs)] == []
-                # each module's input, f_pre, f_cur, mask and output are alive too (the
-                # spy holds them), and so are the logits, as in train_step
-                assert len(module_spy.modules) == 2
-                assert logits.value.shape == (2, cfg.num_classes)
-        finally:
-            gc.enable()
-        return loss
+    def forward(g):
+        return network.network_loss_graph(g, x, [0, 1], store, cfg, train=True,
+                                          update_running=False)
 
-    report = grad_check(make_loss, store.trainable(), max_entries=4)
+    g = GradGraph()
+    gc.disable()  # only reference counting may free a value
+    try:
+        logits, loss = forward(g)
+        # the tape is alive: the outputs no adjoint reads are not. They are
+        # every batch-norm output (stem, bn1, bn2, shortcut), both residual
+        # sums and both pre-sigmoid gate outputs; no gate forms a concat
+        assert {k: len(v) for k, v in made.items()} == {"batchnorm2d": 6, "add": 2, "conv2d": 2}
+        assert [k for k, refs in made.items() if any(r() is not None for r in refs)] == []
+        # each module's input, f_pre, f_cur, mask and output are alive too (the
+        # spy holds them), and so are the logits, as in train_step
+        assert len(module_spy.modules) == 2
+        assert logits.value.shape == (2, cfg.num_classes)
+    finally:
+        gc.enable()
+    assert set(g.backward(loss)) == {p.name for p in store.trainable()}
+    # grad_check's taped graph keeps every output on purpose; its gradients
+    # still match central differences through the same spies
+    report = grad_check(lambda g: forward(g)[1], store.trainable(), max_entries=4)
     assert report.checked > 0 and report.max_error < 1e-4
 
 
@@ -904,12 +929,16 @@ def test_grad_check_reevaluates_without_a_tape(monkeypatch):
     x = Param("x", np.random.default_rng(13).standard_normal((1, 2, 3, 3)))
     taped = spy_graphs(monkeypatch, autodiff)
     replays = spy_graphs(monkeypatch, autodiff, "_Replay")
-    report = grad_check(lambda g: ones_probe(g, g.relu(g.leaf(x))), [x])
-    # one taped graph for the gradients; one replay keeps the unperturbed
-    # outputs, and each entry is re-evaluated on two more
-    assert report.checked == 18 and len(taped) == 1 and taped[0].record
+    built = []
+    report = grad_check(lambda g: built.append(g) or ones_probe(g, g.relu(g.leaf(x))), [x])
+    # make_loss builds once on the one graph that records, for the gradients,
+    # and keeps the unperturbed outputs; then once for each of the two
+    # re-evaluations of each entry, which record nothing
+    assert report.checked == 18 and taped == [] and built == replays
     assert len(replays) == 1 + 2 * 18
-    assert all(not g.record and g._tape == [] for g in replays)
+    kept, *nudged = replays
+    assert kept.record and [op for op, _, _ in kept._outputs] == ["relu", "weighted_sum"]
+    assert all(not g.record and g._tape == [] for g in nudged)
 
 
 def test_the_replay_covers_every_op_of_the_graph():

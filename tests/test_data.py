@@ -78,6 +78,19 @@ def test_manifest_duplicate_key_reports_both_lines():
     assert e.value.line == 4 and "line 2" in str(e.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    (HEADER + "s1,0,a.ppm,3,primary\ns1,1,b\rc.ppm,3,primary\n", 3),
+    (HEADER.rstrip("\n") + "\rs1,0,a.ppm,3,primary\r", 1),
+    (HEADER + "s1,0," + "a" * 200_000 + ".ppm,3,primary\n", 2),
+], ids=["cr_in_a_field", "cr_line_ends", "oversized_field"])
+def test_manifest_csv_reader_errors_carry_line(text, line):
+    # the CSV reader refuses a bare CR inside an unquoted field, or a field
+    # over its size limit, with its own error class, which is no ValueError
+    with pytest.raises(ManifestError) as e:
+        parse_manifest(text)
+    assert e.value.line == line
+
+
 def test_manifest_tolerates_blank_lines_and_spaces():
     text = HEADER + "\ns1, 0 ,a.ppm, 3 , primary\n\n"
     manifest = parse_manifest(text)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from llanet import autodiff
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -43,7 +45,7 @@ tr = tracer.Tracer()
 tr.install()
 for label in ("setup", "timed", "end"):
     tr.mark(label)
-print(json.dumps(sorted(tr.metrics(1, 1, 1.0))))
+print(json.dumps([sorted(tr.metrics(1, 1, 1.0)), sorted(tracer.GRAPH_OPS)]))
 """
 
 
@@ -57,6 +59,8 @@ def test_benchmark_tracer_finds_every_name_it_traces():
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    names = set(json.loads(done.stdout))
+    names, graph_ops = json.loads(done.stdout)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert [m["name"] for m in spec["per_layer"] if m["name"] not in names] == []
+    # a new GradGraph op goes untraced until the benchmark's tracer names it
+    assert set(graph_ops) == set(autodiff._OPS)
