@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
+from . import tensor
 from .autodiff import GradGraph
 from .config import ConfigError, RunConfig, echo_config, load_run_config
 from .data import LABEL_NAMES, ManifestError
@@ -132,6 +134,19 @@ def _load_split(cfg: RunConfig, which: str, evaluated: bool, trained=False) -> L
     return dataset
 
 
+def _run_environment() -> dict:
+    """What a run's bits may depend on beyond its config: the NumPy and BLAS
+    builds, the BLAS thread count, the conv worker count, and
+    ``OPENBLAS_CORETYPE`` when it overrides the kernels OpenBLAS picks."""
+    threads = tensor.blas_threads()
+    env = {"numpy": np.__version__, "blas_config": tensor.blas_config(),
+           "blas_threads": "not pinned" if threads is None else threads,
+           "conv_workers": tensor.conv_workers()}
+    if "OPENBLAS_CORETYPE" in os.environ:
+        env["OPENBLAS_CORETYPE"] = os.environ["OPENBLAS_CORETYPE"]
+    return env
+
+
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     # validation evaluates the train split when there is no val manifest
@@ -140,6 +155,12 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out)
+    env = _run_environment()
+    with data_mod.atomic_open(out / "environment.json") as fh:
+        fh.write(json.dumps(env, indent=2) + "\n")
+    if env["blas_threads"] == "not pinned":
+        print("note: BLAS threads are not pinned, so this run's bits may depend on "
+              "OPENBLAS_NUM_THREADS", file=sys.stderr)
 
     store = init_network(cfg.network)
 
@@ -159,7 +180,8 @@ def cmd_train(args) -> int:
         fh.write(json.dumps(final, indent=2) + "\n")
     print(f"trained {cfg.train.max_epochs} epochs on {len(train_data)} images; "
           f"best epoch {result.best_epoch} (score {result.best_score:.4f})")
-    print(f"artifacts in {out}: config.json train_log.jsonl best.ckpt metrics.json")
+    print(f"artifacts in {out}: config.json environment.json train_log.jsonl best.ckpt "
+          f"metrics.json")
     return 0
 
 

@@ -87,11 +87,16 @@ class DatasetManifest:
 
 
 def _csv_rows(text: str):
-    """The rows of a manifest's CSV; one the reader refuses, such as a field
-    holding a bare CR, raises ``ManifestError`` with its line."""
+    """Yield ``(line, row)`` for each row of a manifest's CSV, ``line`` the
+    physical line the row starts on, so that a quoted field spanning lines
+    does not shift the lines of later rows. A row the reader refuses, such
+    as a field holding a bare CR, raises ``ManifestError`` with its line."""
     reader = csv.reader(io.StringIO(text))
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as e:
         raise ManifestError(f"unreadable CSV: {e}", reader.line_num) from None
 
@@ -100,14 +105,14 @@ def parse_manifest(text: str) -> DatasetManifest:
     """Parse manifest CSV; errors carry 1-based line numbers."""
     rows = _csv_rows(text)
     try:
-        header = next(rows)
+        _, header = next(rows)
     except StopIteration:
         raise ManifestError("empty file: missing header", line=1) from None
     if [h.strip() for h in header] != list(MANIFEST_FIELDS):
         raise ManifestError(f"header must be {','.join(MANIFEST_FIELDS)}", line=1)
     records = []
     seen: dict[tuple, int] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != len(MANIFEST_FIELDS):

@@ -69,6 +69,24 @@ large and its column matrix is no smaller than dy (``_on_taps``); every
 other conv runs on im2col. A conv on taps sums in a different order, so its
 values can differ from im2col in the last bits. ``scripts/conv_layouts.py``
 times both layouts on every conv of a preset.
+
+The large conv GEMMs run on two threads. llanet pins NumPy's bundled
+OpenBLAS to one thread at import (``blas_threads``), and a GEMM whose
+per-image share reaches ``SPLIT_FLOPS`` is split in two parts by output
+rows (``_parts``); every other GEMM is one part. Each kernel runs its
+per-block work once through ``_in_parts``, on the whole row range or on
+its two parts: the im2col forward and dW and both tap loops by out
+channels, each tap part running the whole tap loop on its rows with its
+own rows of the scratch; the im2col dx by input channels, so each part's
+col2im writes only its own channels. The second part runs on a second
+thread when the process may use two CPUs (``conv_workers``), and after
+the first otherwise. A split GEMM can differ from the whole one in
+the last bits (on resnet18 at 112 px, every GEMM with 196 output columns
+does), so the split is fixed by the GEMM's shape and never by the worker
+count: neither the worker count nor ``OPENBLAS_NUM_THREADS`` changes a bit.
+OpenBLAS picks its kernels by CPU, so bits can still differ across CPU
+generations. Every micro and tiny GEMM is below the threshold, so those
+presets run on one thread exactly as before.
 """
 
 from __future__ import annotations
@@ -76,6 +94,7 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -119,6 +138,53 @@ def _keep_freed_heap() -> bool:
 
 _keep_freed_heap()
 
+
+def _openblas(libs: Path):
+    """The set-threads, get-threads and get-config functions of the OpenBLAS
+    that NumPy bundles in ``libs`` (its ``numpy.libs``), through ``ctypes``,
+    or None where there is none or it lacks these symbols. NumPy 2 bundles
+    ``libscipy_openblas64_*.so`` (``scipy_openblas_*64_``), NumPy 1
+    ``libopenblas64_*.so`` (``openblas_*64_``). The library is already
+    loaded, so this opens the same copy NumPy calls."""
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("scipy_", ""), ("", "")):
+            names = [f"{prefix}openblas_{f}{suffix}"
+                     for f in ("set_num_threads", "get_num_threads", "get_config")]
+            if all(hasattr(lib, name) for name in names):
+                set_threads, get_threads, get_config = (getattr(lib, name) for name in names)
+                set_threads.argtypes = (ctypes.c_int,)
+                get_threads.restype = ctypes.c_int
+                get_config.restype = ctypes.c_char_p
+                return set_threads, get_threads, get_config
+    return None
+
+
+# Set only when OpenBLAS runs more threads: a set call at the same count still
+# raised train-tiny's peak RSS by about 1.4 MB (OPENBLAS_NUM_THREADS=1, 20 s).
+_OPENBLAS = _openblas(Path(np.__file__).resolve().parent.parent / "numpy.libs")
+if _OPENBLAS is not None and _OPENBLAS[1]() != 1:
+    _OPENBLAS[0](1)
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count llanet pinned at import (1), or None where it
+    found no OpenBLAS to pin, so that the bits may depend on
+    ``OPENBLAS_NUM_THREADS``."""
+    return None if _OPENBLAS is None else _OPENBLAS[1]()
+
+
+def blas_config() -> str:
+    """The bundled OpenBLAS's build and the core it picked its kernels for,
+    or "unknown" where there is none to ask."""
+    if _OPENBLAS is None:
+        return "unknown"
+    return _OPENBLAS[2]().decode("ascii", "replace").strip()
+
+
 # Byte budget of one conv batch block: its padded input plus its output, and
 # for im2col its column matrix. About half of a core's 2 MiB L2 on the
 # reference machine, so each tap GEMM of a block reads from L2 rather than
@@ -126,6 +192,78 @@ _keep_freed_heap()
 # three runs) took 96-99 ms at 1 MiB, 93-102 ms at 512 KiB, 99-108 ms at
 # 256 KiB, 114-117 ms at 2 MiB and 125-159 ms with no blocking.
 CONV_BLOCK_BYTES = 1 << 20
+
+# Per-image FLOPs (2 * rows * inner * columns of the GEMM an image's share of
+# a conv forms) from which the GEMM is split in two by output rows. Every
+# resnet18 GEMM at 112 px is 43 MFLOP or more, every micro and tiny one under
+# 3 MFLOP, where a second thread's start-up and hand-off would cost more than
+# it saves.
+SPLIT_FLOPS = 16_000_000
+
+# The second conv worker, started by the first split GEMM that may run on two
+# CPUs; the calling thread is the first. A forked child has no such thread, so
+# it starts its own.
+_second_worker = None
+
+
+def _forget_second_worker() -> None:
+    global _second_worker
+    _second_worker = None
+
+
+os.register_at_fork(after_in_child=_forget_second_worker)
+
+
+def conv_workers() -> int:
+    """How many threads run a split conv GEMM: two, or one when the process
+    may use only one CPU. It never changes the split, so never a bit."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(2, cpus or 1)
+
+
+def _parts(rows: int, flops: int) -> int:
+    """How many row ranges a conv GEMM of ``flops`` per image, with ``rows``
+    output rows, is split into: 2 from ``SPLIT_FLOPS`` on, else 1. A
+    function of its shape alone."""
+    return 2 if rows > 1 and flops >= SPLIT_FLOPS else 1
+
+
+def _in_parts(rows: int, parts: int, work, *args) -> None:
+    """Call ``work(a, b, *args)`` on ``parts`` (1 or 2) row ranges a:b that
+    cover ``rows`` and must write disjoint memory. The second range runs on
+    the second worker while this thread runs the first, or after it when
+    there is one worker.
+
+    The kernels pass their arrays as ``args`` rather than closing over them:
+    a closure would turn the kernel's locals into cells, and every kernel,
+    split or not, would read them more slowly."""
+    if parts == 1:
+        work(0, rows, *args)
+        return
+    half = rows // 2
+    if conv_workers() == 1:
+        work(0, half, *args)
+        work(half, rows, *args)
+        return
+    global _second_worker
+    if _second_worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _second_worker = ThreadPoolExecutor(1, thread_name_prefix="llanet-conv")
+    second = _second_worker.submit(work, half, rows, *args)
+    try:
+        work(0, half, *args)
+    finally:
+        second.result()
+
+
+def _matmul_rows(a: int, b: int, lhs, rhs, out, total=None) -> None:
+    """Rows a:b of ``out`` = rows a:b of ``lhs`` @ ``rhs``, rows being the
+    second-to-last axis; then, for a 2-d ``out``, added into rows a:b of
+    ``total`` if one is given."""
+    np.matmul(lhs[a:b], rhs, out=out[..., a:b, :])
+    if total is not None:
+        total[a:b] += out[a:b]
+
 
 # Batch norm: variance floor and running-statistics momentum.
 BN_EPS = 1e-5
@@ -314,10 +452,21 @@ def _im2col_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     images = _im2col_images(n, c, h, w, spec, oh, ow, dtype)
     wmat = weight.reshape(o, k)
     out = np.empty((n, o, oh * ow), dtype=dtype)
+    parts = _parts(o, 2 * o * k * oh * ow)
     for s, e, block in _padded_blocks(x, spec.padding, 0, images):
         cols = _windows(block, spec.kernel_h, spec.kernel_w, spec.stride, oh, ow)
-        np.matmul(wmat, cols.reshape(e - s, k, oh * ow), out=out[s:e])
+        _in_parts(o, parts, _matmul_rows, wmat, cols.reshape(e - s, k, oh * ow), out[s:e])
     return out.reshape(n, o, oh, ow)
+
+
+def _tap_rows(a: int, b: int, taps, offsets, flat, span: int, out, tap) -> None:
+    """A tap forward's whole tap loop of one block on out channels a:b, in
+    their rows of ``out`` and of the scratch ``tap``."""
+    (w0, *rest), (off0, *offs) = taps[:, a:b], offsets
+    acc, tap = out[:, a:b], tap[:, a:b]
+    np.matmul(w0, flat[:, :, off0:off0 + span], out=acc)
+    for w_t, off in zip(rest, offs):
+        acc += np.matmul(w_t, flat[:, :, off:off + span], out=tap)
 
 
 def _tap_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
@@ -331,14 +480,13 @@ def _tap_forward(x, weight, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     # the weight as a contiguous (kh*kw, o, c), taps in row-major order: numpy
     # would copy a strided weight[:, :, i, j] on every GEMM it is passed to
     taps = weight.transpose(2, 3, 0, 1).reshape(-1, o, c)
-    (w0, off0), *rest = zip(taps, _tap_offsets(spec, wp))
+    offsets = _tap_offsets(spec, wp)
     out = np.empty((n, o, span), dtype=dtype)
     part = np.empty((images, o, span), dtype=dtype)
+    parts = _parts(o, 2 * o * c * len(taps) * span)
     for s, e, block in _padded_blocks(x, p, 1, images):
-        flat, tap = block.reshape(e - s, c, -1), part[:e - s]
-        acc = np.matmul(w0, flat[:, :, off0:off0 + span], out=out[s:e])
-        for w_t, off in rest:
-            acc += np.matmul(w_t, flat[:, :, off:off + span], out=tap)
+        _in_parts(o, parts, _tap_rows, taps, offsets, block.reshape(e - s, c, -1), span,
+                  out[s:e], part[:e - s])
     return out.reshape(n, o, oh, wp)[..., :ow]
 
 
@@ -355,14 +503,25 @@ def _im2col_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
     # batch 1 needs no scratch
     dw = np.empty((o, k), dtype=dtype)
     prod = np.empty_like(dw) if n > 1 else None
+    parts = _parts(o, 2 * o * oh * ow * k)
     for s, e, block in _padded_blocks(x, spec.padding, 0, images):
         cols = _windows(block, spec.kernel_h, spec.kernel_w, spec.stride, oh, ow)
         for i in range(s, e):
-            np.matmul(dy[i].reshape(o, oh * ow), cols[i - s].reshape(k, oh * ow).T,
-                      out=prod if i else dw)
-            if i:
-                dw += prod
+            _in_parts(o, parts, _matmul_rows, dy[i].reshape(o, oh * ow),
+                      cols[i - s].reshape(k, oh * ow).T, prod if i else dw, dw if i else None)
     return dw.reshape(spec.weight_shape)
+
+
+def _tap_grad_rows(a: int, b: int, dw, offsets, d, flat, span: int, prods, first: int) -> None:
+    """A tap dW's whole tap loop of one block on out channels a:b, in their
+    rows of ``dw`` and of the scratch ``prods``, each tap's rows summed from
+    row ``first``."""
+    d, prods = d[:, a:b], prods[:, a:b]
+    images_rows, summed_rows = prods[1:len(d) + 1], prods[first:len(d) + 1]
+    for dw_t, off in zip(dw[:, a:b], offsets):
+        prods[0] = dw_t
+        np.matmul(d, flat[:, :, off:off + span].transpose(0, 2, 1), out=images_rows)
+        summed_rows.sum(axis=0, out=dw_t)
 
 
 def _tap_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
@@ -382,33 +541,41 @@ def _tap_weight_grad(x, dy, spec: ConvSpec) -> np.ndarray:
     # (except for a 1 x 1-channel dW, whose rows it sums pairwise)
     prods = np.empty((images + 1, o, c), dtype=dtype)
     dw = np.zeros((len(offsets), o, c), dtype=dtype)
+    parts = _parts(o, 2 * o * span * c * len(offsets))
     for s, e, block in _padded_blocks(x, p, 1, images):
         flat = block.reshape(e - s, c, -1)
         d = dyf[:e - s]
         d.reshape(e - s, o, oh, wp)[..., :ow] = dy[s:e]
-        images_rows, summed_rows = prods[1:e - s + 1], prods[0 if s else 1:e - s + 1]
-        for dw_t, off in zip(dw, offsets):
-            prods[0] = dw_t
-            np.matmul(d, flat[:, :, off:off + span].transpose(0, 2, 1), out=images_rows)
-            summed_rows.sum(axis=0, out=dw_t)
+        _in_parts(o, parts, _tap_grad_rows, dw, offsets, d, flat, span, prods, 0 if s else 1)
     return dw.transpose(1, 2, 0).reshape(spec.weight_shape)
+
+
+def _col2im_channels(a: int, b: int, wt, dmat, dcols, dxp, spec: ConvSpec, oh: int,
+                     ow: int) -> None:
+    """An im2col dx's column gradient and col2im of one block on input
+    channels a:b, in their rows of ``dcols`` and their channels of ``dxp``."""
+    kh, kw, st = spec.kernel_h, spec.kernel_w, spec.stride
+    rows = slice(a * kh * kw, b * kh * kw)
+    cols = np.matmul(wt[rows], dmat, out=dcols[:, rows])
+    dwin = cols.reshape(len(dmat), b - a, kh, kw, oh, ow)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, a:b, i:i + st * oh:st, j:j + st * ow:st] += dwin[:, :, i, j]
 
 
 def _im2col_input_grad(weight, dy, spec: ConvSpec, h: int, w: int) -> np.ndarray:
     n, o, oh, ow = dy.shape
-    c, kh, kw, p, st = spec.in_channels, spec.kernel_h, spec.kernel_w, spec.padding, spec.stride
+    c, k, p = spec.in_channels, spec.in_channels * spec.kernel_h * spec.kernel_w, spec.padding
     dtype = np.result_type(weight, dy)
     images = _im2col_images(n, c, h, w, spec, oh, ow, dtype)
-    wmat = weight.reshape(o, -1)
-    dcols = np.empty((images, c * kh * kw, oh * ow), dtype=dtype)
+    wt = weight.reshape(o, -1).T
+    dcols = np.empty((images, k, oh * ow), dtype=dtype)
     dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dtype)
+    parts = _parts(c, 2 * k * o * oh * ow)
     # each block's column gradient W^T dy, then its col2im into the block's rows
     for s, e, d in _padded_blocks(dy, 0, 0, images):
-        np.matmul(wmat.T, d.reshape(e - s, o, oh * ow), out=dcols[:e - s])
-        dwin = dcols[:e - s].reshape(e - s, c, kh, kw, oh, ow)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[s:e, :, i:i + st * oh:st, j:j + st * ow:st] += dwin[:, :, i, j]
+        _in_parts(c, parts, _col2im_channels, wt, d.reshape(e - s, o, oh * ow), dcols[:e - s],
+                  dxp[s:e], spec, oh, ow)
     return dxp[:, :, p:p + h, p:p + w] if p else dxp
 
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from llanet import cli, demo, network
+from llanet import cli, demo, network, tensor
 from llanet.attention import attention_forward_graph
 from llanet.autodiff import GradGraph
 from llanet.cli import main
@@ -265,8 +265,13 @@ def test_train_cli_produces_artifacts(cli_root, tmp_path, capsys):
     out = tmp_path / "run1"
     rc = run_cli("train", "--config", cli_root / "run.json", "--out", out)
     assert rc == 0
-    for name in ("config.json", "train_log.jsonl", "best.ckpt", "metrics.json"):
+    for name in ("config.json", "environment.json", "train_log.jsonl", "best.ckpt",
+                 "metrics.json"):
         assert (out / name).exists(), f"missing {name}"
+    environment = json.loads((out / "environment.json").read_text())
+    pinned = "not pinned" if tensor.blas_threads() is None else 1
+    assert environment == {"numpy": np.__version__, "blas_config": tensor.blas_config(),
+                           "blas_threads": pinned, "conv_workers": tensor.conv_workers()}
     lines = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
     assert len(lines) == 2
     assert set(lines[0]) == {"epoch", "lr", "train_loss", "train_acc",
@@ -286,6 +291,17 @@ def with_changes(cli_root, tmp_path, name, **sections):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_train_cli_says_when_its_blas_is_not_pinned(cli_root, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tensor, "blas_threads", lambda: None)
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cli_root / "run.json", "--out", out) == 0
+    assert "BLAS threads are not pinned" in capsys.readouterr().err
+    environment = json.loads((out / "environment.json").read_text())
+    assert environment["blas_threads"] == "not pinned"
+    assert environment["OPENBLAS_CORETYPE"] == "Haswell"
 
 
 def test_train_cli_is_bit_reproducible(cli_root, tmp_path):

@@ -78,6 +78,17 @@ def test_manifest_duplicate_key_reports_both_lines():
     assert e.value.line == 4 and "line 2" in str(e.value)
 
 
+def test_manifest_errors_name_the_physical_line_after_a_multiline_field():
+    # the quoted sequence id spans lines 2-3, so the bad label is on line 4
+    text = HEADER + '"s1\nx",0,a.ppm,3,primary\ns1,1,b.ppm,9,primary\n'
+    with pytest.raises(ManifestError) as e:
+        parse_manifest(text)
+    assert e.value.line == 4 and "got 9" in str(e.value)
+    with pytest.raises(ManifestError) as e:
+        parse_manifest(text.replace("b.ppm,9", "b.ppm,3").replace("s1,1", '"s1\nx",0'))
+    assert e.value.line == 4 and "first seen on line 2" in str(e.value)
+
+
 @pytest.mark.parametrize("text, line", [
     (HEADER + "s1,0,a.ppm,3,primary\ns1,1,b\rc.ppm,3,primary\n", 3),
     (HEADER.rstrip("\n") + "\rs1,0,a.ppm,3,primary\r", 1),

@@ -1,6 +1,12 @@
 """Forward kernels: contracts, invariants, and nested-loop oracle equivalence."""
 
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -207,6 +213,165 @@ def test_im2col_weight_grad_within_an_fsum_oracle(monkeypatch, budget, kernel, s
     got = tensor.conv2d_weight_grad(x, dy, spec)
     exact, scale = oracles.conv2d_weight_grad_fsum(x, dy, kernel, kernel, stride, padding)
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
+
+
+def spy_parts(monkeypatch):
+    """Record the per-image FLOPs and the part count of every ``_parts`` call."""
+    calls = []
+    parts = tensor._parts
+
+    def spy(rows, flops):
+        calls.append((flops, parts(rows, flops)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(tensor, "_parts", spy)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [tensor.CONV_BLOCK_BYTES, 1])  # one block; one per image
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("pair", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])  # taps, im2col
+def test_split_conv_gemms_agree_at_one_and_two_workers_and_with_the_oracles(
+        monkeypatch, stride, pair, batch, budget):
+    rng = np.random.default_rng(44)
+    spec = ConvSpec(6, 5, 3, 3, stride=stride, padding=1)
+    a, b = rand(rng, batch, 2, 8, 8), rand(rng, batch, 3, 8, 8)
+    joined = np.concatenate([a, b], axis=1)
+    x = (a, b) if pair else joined
+    weight, bias = rand(rng, *spec.weight_shape), rand(rng, 6)
+    oh, ow = tensor.conv_output_hw(spec, 8, 8)
+    assert tensor._on_taps(spec, oh, ow) == (stride == 1)
+    dy = rand(rng, batch, 6, oh, ow)
+
+    def run():
+        return (tensor.conv2d(x, weight, bias, spec), tensor.conv2d_weight_grad(x, dy, spec),
+                tensor.conv2d_input_grad(weight, dy, spec, 8, 8))
+
+    whole_dx = run()[2]
+    calls = spy_parts(monkeypatch)
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", budget)
+    monkeypatch.setattr(tensor, "SPLIT_FLOPS", 1)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(tensor, "conv_workers", lambda: workers)
+        results.append(run())
+    # the forward, dW and dx were split at both worker counts
+    assert [parts for _, parts in calls] == [2] * 6
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+    out, dw, dx = results[0]
+    npt.assert_allclose(out, oracles.conv2d_naive(joined, weight, bias, stride, 1),
+                        rtol=0, atol=1e-12)
+    exact, scale = oracles.conv2d_weight_grad_fsum(joined, dy, 3, 3, stride, 1)
+    assert np.all(np.abs(dw - exact) <= 1e-12 * scale)
+    # dx against the unsplit kernel, within the rounding bound of |W|^T |dy|
+    monkeypatch.setattr(tensor, "SPLIT_FLOPS", np.inf)
+    bound = tensor.conv2d_input_grad(np.abs(weight), np.abs(dy), spec, 8, 8)
+    assert np.all(np.abs(dx - whole_dx) <= 1e-12 * bound)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_second_worker(monkeypatch):
+    rng = np.random.default_rng(46)
+    spec = ConvSpec(4, 4, 3, 3, stride=2, padding=1, has_bias=False)
+    x, weight = rand(rng, 1, 4, 8, 8), rand(rng, *spec.weight_shape)
+    monkeypatch.setattr(tensor, "SPLIT_FLOPS", 1)
+    monkeypatch.setattr(tensor, "conv_workers", lambda: 2)
+    want = tensor.conv2d(x, weight, None, spec)  # starts this process's second worker
+    pid = os.fork()
+    if pid == 0:  # the child: a deadlock ends at the alarm with SIGALRM
+        signal.alarm(20)
+        os._exit(0 if tensor.conv2d(x, weight, None, spec).tobytes() == want.tobytes() else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_micro_and_tiny_conv_gemms_are_never_split(monkeypatch):
+    from llanet import autodiff, network, verify
+
+    calls = spy_parts(monkeypatch)
+    rng = np.random.default_rng(45)
+    tiny = network.preset("tiny", seed=1)
+    store = network.init_network(tiny)
+    graph = autodiff.GradGraph()  # a train step at 32 px
+    _, loss = network.network_loss_graph(graph, rand(rng, 2, 3, 32, 32), np.array([0, 1]),
+                                         store, tiny, train=True)
+    graph.backward(loss)
+    network.network_forward_graph(autodiff.GradGraph(record=False), rand(rng, 10, 3, 28, 28),
+                                  store, tiny, train=False)  # a ten-crop batch at 28 px
+    verify.run_suite("all")  # every check on 8 x 8 maps or smaller, micro included
+    assert len(calls) > 50
+    assert max(flops for flops, _ in calls) < tensor.SPLIT_FLOPS
+
+
+# The dW of a resnet18 stage-2 conv (28 px) and the forward of a stage-3 conv
+# (14 px), whose bits differed between one and two OpenBLAS threads while the
+# thread count was left to the environment.
+BLAS_THREADS_DIGEST = """
+import hashlib
+import numpy as np
+from llanet import tensor
+from llanet.tensor import ConvSpec
+rng = np.random.default_rng(50)
+stage2 = ConvSpec(256, 256, 3, 3, padding=1, has_bias=False)
+stage3 = ConvSpec(512, 512, 3, 3, padding=1, has_bias=False)
+x2, dy2 = rng.standard_normal((1, 256, 28, 28)), rng.standard_normal((1, 256, 28, 28))
+x3, w3 = rng.standard_normal((1, 512, 14, 14)), rng.standard_normal(stage3.weight_shape)
+digest = hashlib.sha256(tensor.conv2d_weight_grad(x2, dy2, stage2).tobytes())
+digest.update(tensor.conv2d(x3, w3, None, stage3).tobytes())
+print(tensor.blas_threads(), digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(tensor.blas_threads() is None,
+                    reason="no bundled OpenBLAS to pin, so the bits may depend on its thread count")
+def test_conv_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(tensor.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_DIGEST], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0].startswith("1 ")
+    assert outputs[0] == outputs[1]
+
+
+class FakeLibrary:
+    """A ``ctypes.CDLL`` stand-in that exports the given symbol names."""
+
+    def __init__(self, names):
+        for name in names:
+            setattr(self, name, types.SimpleNamespace())
+
+
+@pytest.mark.parametrize("filename, prefix, suffix", [
+    ("libscipy_openblas64_-32a4b2a6.so", "scipy_", "64_"),  # NumPy 2
+    ("libopenblas64_p-r0-0cf96a72.3.23.dev.so", "", "64_"),  # NumPy 1
+])
+def test_the_blas_pin_finds_each_numpy_generations_openblas(monkeypatch, tmp_path, filename,
+                                                           prefix, suffix):
+    names = [f"{prefix}openblas_{f}{suffix}"
+             for f in ("set_num_threads", "get_num_threads", "get_config")]
+    (tmp_path / "libgfortran-040039e1.so.5.0.0").touch()
+    (tmp_path / filename).touch()
+    opened = []
+
+    def cdll(path):
+        opened.append(Path(path).name)
+        return FakeLibrary(names)
+
+    monkeypatch.setattr(tensor.ctypes, "CDLL", cdll)
+    found = tensor._openblas(tmp_path)
+    assert opened == [filename]
+    assert [getattr(f, "restype", None) for f in found] == [None, tensor.ctypes.c_int,
+                                                            tensor.ctypes.c_char_p]
+    assert found[0].argtypes == (tensor.ctypes.c_int,)
+    monkeypatch.setattr(tensor.ctypes, "CDLL", lambda path: FakeLibrary(names[:2]))
+    assert tensor._openblas(tmp_path) is None  # no get_config: not a usable OpenBLAS
+    assert tensor._openblas(tmp_path / "missing") is None
 
 
 def test_conv_spec_validation():
