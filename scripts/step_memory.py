@@ -1,10 +1,11 @@
 """Memory of one train step of a network preset (tape, peak RSS) and of its eval forward.
 
-Usage: python3 scripts/step_memory.py PRESET [--size PX] [--batch N]
+Usage: python3 scripts/step_memory.py PRESET [--size PX] [--batch N] [--steps S]
 
 Examples:
 
     python3 scripts/step_memory.py tiny --size 32 --batch 35
+    python3 scripts/step_memory.py tiny --size 28 --batch 10 --steps 5
     python3 scripts/step_memory.py resnet18 --size 112 --batch 16
     (ulimit -v 7000000; python3 scripts/step_memory.py resnet18 --size 112 --batch 32)
 
@@ -22,6 +23,13 @@ cotangents in flight and the adjoints' working arrays, less what the sweep
 has freed of the tape by then. Last, it prints the ``tracemalloc`` peak of
 one no-record ``network.network_forward`` on the same batch, what evaluation
 runs: the maps of one module at a time plus a conv's working buffers.
+
+With ``--steps S`` it then times two kinds of step, each once to warm up and
+then S times: that no-record forward and the train step. For each kind it
+prints the wall, user and system seconds and the minor page faults per step,
+read from ``resource.getrusage`` around the steps. Minor faults per step
+that stay in the thousands after warm-up mean the process hands freed memory
+back to the OS and faults it in again on the next op.
 
 A step that does not fit ends with a ``MemoryError`` message and exit 1.
 Cap the address space of the shell it runs in (``ulimit -v`` KiB) to get
@@ -51,14 +59,29 @@ from llanet import autodiff, network, training  # noqa: E402
 MIB = 1024.0 * 1024.0
 
 
+def per_step(step, steps: int) -> dict:
+    """Run ``step`` once to warm up, then ``steps`` times; usage per step."""
+    step()
+    r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+    for _ in range(steps):
+        step()
+    t1, r1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
+    return {"wall_s": (t1 - t0) / steps,
+            "user_s": (r1.ru_utime - r0.ru_utime) / steps,
+            "sys_s": (r1.ru_stime - r0.ru_stime) / steps,
+            "minor_faults": (r1.ru_minflt - r0.ru_minflt) / steps}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("preset", choices=network.PRESET_NAMES)
     ap.add_argument("--size", type=int, default=32, help="image side in px (default 32)")
     ap.add_argument("--batch", type=int, default=10, help="images per step (default 10)")
+    ap.add_argument("--steps", type=int, default=0,
+                    help="timed steps of each kind after the memory table (default 0: none)")
     args = ap.parse_args(argv)
-    if args.size < 1 or args.batch < 1:
-        ap.error("--size and --batch must be >= 1")
+    if args.size < 1 or args.batch < 1 or args.steps < 0:
+        ap.error("--size and --batch must be >= 1, --steps >= 0")
 
     cfg = dataclasses.replace(network.preset(args.preset), input_shape=(3, args.size, args.size))
     store = network.init_network(cfg)
@@ -111,6 +134,20 @@ def main(argv=None) -> int:
     print("|---|---|---|---|---|---|")
     print(f"| {t1 - t0:.2f} | {t2 - t1:.2f} | {kept / MIB:.0f} | {backward_peak / MIB:.0f} "
           f"| {peak / MIB:.0f} | {eval_peak / MIB:.0f} |")
+    if not args.steps:
+        return 0
+
+    def train_step():
+        training.train_step(store, state, x, labels, cfg, train_cfg.base_lr)
+
+    print(f"\n{args.steps} steps of each kind after one warm-up, per step:")
+    print("| step | wall s | user s | sys s | minor faults |")
+    print("|---|---|---|---|---|")
+    for name, step in (("forward (no record)", lambda: network.network_forward(x, store, cfg)),
+                       ("train step", train_step)):
+        r = per_step(step, args.steps)
+        print(f"| {name} | {r['wall_s']:.4f} | {r['user_s']:.4f} | {r['sys_s']:.4f} "
+              f"| {r['minor_faults']:.0f} |")
     return 0
 
 

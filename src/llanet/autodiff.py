@@ -61,6 +61,13 @@ name to gradient, in the order the leaves entered. Leaves the loss never
 touched get zero gradients rather than being dropped, so optimizer code can
 iterate parameters unconditionally.
 
+The float dtype (``tensor.DEFAULT_DTYPE``) is decided where values enter a
+graph and nowhere else: ``Param`` casts its value to it, as do ``constant``
+and ``weighted_sum``'s probe. Every op output, cotangent and gradient then
+has the dtype its kernel or adjoint computes from those, and ``backward``
+seeds the root with ones of the root's own dtype. Only the two scalar
+losses, of ``softmax_cross_entropy`` and ``weighted_sum``, are always float64.
+
 Forward values come from the ``llanet.tensor`` kernels; an op keeps only
 what the kernel returns, and arrays that only the backward pass needs (the
 conv's padded input, max-pool winners, the normalized batch-norm input) are
@@ -377,7 +384,7 @@ class GradGraph:
         hx, n = logits.handle, len(labels)
 
         def backprop(dy, send):
-            onehot = np.zeros(probs.shape, dtype=DEFAULT_DTYPE)
+            onehot = np.zeros_like(probs)
             onehot[np.arange(n), labels] = 1.0
             send(hx, float(dy) * (probs - onehot) / n)
 
@@ -418,7 +425,7 @@ class GradGraph:
         self._swept = True
         grads = {}
         if root.handle is not None:
-            grads[root.handle] = np.ones_like(root.value, dtype=DEFAULT_DTYPE)
+            grads[root.handle] = np.ones_like(root.value)
 
         def send(parent: Handle | None, grad):
             # the first contribution is kept as sent and each later one makes
@@ -426,8 +433,7 @@ class GradGraph:
             if parent is None:
                 return
             pending = grads.get(parent)
-            grads[parent] = (np.asarray(grad, dtype=DEFAULT_DTYPE) if pending is None
-                             else pending + grad)
+            grads[parent] = grad if pending is None else pending + grad
 
         collected = {}
         sink = collected.__setitem__ if self.sink is None else self.sink

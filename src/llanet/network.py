@@ -31,13 +31,14 @@ import struct
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
 from .attention import attention_conv_spec, attention_forward_graph
 from .autodiff import GradGraph, Node, Param
 from .data import atomic_open
-from .tensor import ConvSpec, DEFAULT_DTYPE, conv_output_hw
+from .tensor import ConvSpec, conv_output_hw
 
 ATTENTION_MODES = ("learned", "frozen", "off")
 
@@ -57,8 +58,7 @@ class NetworkConfig:
     input_shape: tuple[int, int, int]  # (channels, height, width)
     stem_channels: int
     stages: tuple[StageSpec, ...]
-    stem_kernel: int = 3
-    stem_stride: int = 1
+    stem_kernel: ClassVar[int] = 3  # the stem is always a 3x3 stride-1 conv
     attention: str = "learned"  # learned | frozen (mask pinned at 0.5) | off (plain resnet)
     attention_kernel: int = 3
     num_classes: int = 7
@@ -70,10 +70,6 @@ class NetworkConfig:
             raise ValueError(f"input shape must be positive, got {self.input_shape}")
         if self.stem_channels < 1:
             raise ValueError("stem_channels must be >= 1")
-        if self.stem_kernel < 1 or self.stem_kernel % 2 == 0:
-            raise ValueError(f"stem kernel must be odd and >= 1, got {self.stem_kernel}")
-        if self.stem_stride < 1:
-            raise ValueError("stem stride must be >= 1")
         if not self.stages:
             raise ValueError("need at least one stage")
         for s in self.stages:
@@ -121,7 +117,7 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
         "stem_channels": cfg.stem_channels,
         "stages": [[s.blocks, s.channels, s.stride] for s in cfg.stages],
         "stem_kernel": cfg.stem_kernel,
-        "stem_stride": cfg.stem_stride,
+        "stem_stride": 1,
         "attention": cfg.attention,
         "attention_kernel": cfg.attention_kernel,
         "num_classes": cfg.num_classes,
@@ -204,7 +200,7 @@ def _conv_layer(prefix, kind, in_ch, out_ch, kernel, stride) -> Layer:
 
 def _stem_layer(cfg: NetworkConfig) -> Layer:
     return _conv_layer("stem.conv", "conv_bn", cfg.input_shape[0], cfg.stem_channels,
-                       cfg.stem_kernel, cfg.stem_stride)
+                       cfg.stem_kernel, 1)
 
 
 @dataclass(frozen=True)
@@ -274,7 +270,7 @@ def feature_shape(cfg: NetworkConfig) -> tuple[int, int, int]:
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Uniform fan-in initialization: U(-b, b) with b = sqrt(6 / fan_in)."""
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def _add_layer(store, layer: Layer, rng, attention: str):
@@ -286,20 +282,20 @@ def _add_layer(store, layer: Layer, rng, attention: str):
     spec = layer.spec
     fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
     if layer.kind == "gate" and attention == "frozen":
-        weight = np.zeros(spec.weight_shape, dtype=DEFAULT_DTYPE)
+        weight = np.zeros(spec.weight_shape)
     else:
         weight = kaiming_uniform(rng, spec.weight_shape, fan_in)
     trainable = layer.kind != "gate" or attention == "learned"
     store.add(Param(f"{layer.prefix}.weight", weight, trainable=trainable))
     if layer.kind == "gate":
-        store.add(Param(f"{layer.prefix}.bias", np.zeros(spec.out_channels, dtype=DEFAULT_DTYPE),
+        store.add(Param(f"{layer.prefix}.bias", np.zeros(spec.out_channels),
                         trainable=trainable, decay_exempt=True))
     elif layer.kind == "conv_bn":
         ch = spec.out_channels
-        store.add(Param(f"{layer.bn}.gamma", np.ones(ch, dtype=DEFAULT_DTYPE), decay_exempt=True))
-        store.add(Param(f"{layer.bn}.beta", np.zeros(ch, dtype=DEFAULT_DTYPE), decay_exempt=True))
-        store.add(Param(f"{layer.bn}.running_mean", np.zeros(ch, dtype=DEFAULT_DTYPE), trainable=False))
-        store.add(Param(f"{layer.bn}.running_var", np.ones(ch, dtype=DEFAULT_DTYPE), trainable=False))
+        store.add(Param(f"{layer.bn}.gamma", np.ones(ch), decay_exempt=True))
+        store.add(Param(f"{layer.bn}.beta", np.zeros(ch), decay_exempt=True))
+        store.add(Param(f"{layer.bn}.running_mean", np.zeros(ch), trainable=False))
+        store.add(Param(f"{layer.bn}.running_var", np.ones(ch), trainable=False))
 
 
 def init_network(cfg: NetworkConfig) -> ParamStore:
@@ -320,7 +316,7 @@ def init_network(cfg: NetworkConfig) -> ParamStore:
     feat_ch = plan[-1].out_channels
     store.add(Param("head.weight",
                     kaiming_uniform(rng, (cfg.num_classes, feat_ch), fan_in=feat_ch)))
-    store.add(Param("head.bias", np.zeros(cfg.num_classes, dtype=DEFAULT_DTYPE), decay_exempt=True))
+    store.add(Param("head.bias", np.zeros(cfg.num_classes), decay_exempt=True))
     return store
 
 

@@ -1,13 +1,17 @@
 """Dense NCHW tensor kernels.
 
 Feature maps are plain numpy arrays of shape (n, c, h, w) - batch, channels,
-height, width - stored row-major, float64 by default. The forward kernels
-here are the only copy of the forward math: the ops of ``llanet.autodiff``
-take their values from them, and their adjoints rebuild what only the
-backward pass needs with the helpers here: ``conv2d_weight_grad`` and
-``conv2d_input_grad`` for the conv, ``_windows`` for the max pool's
-window view, and ``_normalize``, which batch norm's train-mode kernel and
-its adjoint share so both normalize with the same ``BN_EPS``.
+height, width - stored row-major. No kernel names a float dtype: each
+computes in the dtype of its inputs. ``DEFAULT_DTYPE`` (float64) is applied only
+where values enter: a ``Param``, a graph constant and ``weighted_sum``'s
+probe in ``llanet.autodiff``, and an image in ``llanet.data.to_tensor``.
+The forward kernels here are the only copy of the forward math: the ops of
+``llanet.autodiff`` take their values from them, and their adjoints rebuild
+what only the backward pass needs with the helpers here:
+``conv2d_weight_grad`` and ``conv2d_input_grad`` for the conv, ``_windows``
+for the max pool's window view, and ``_normalize``, which batch norm's
+train-mode kernel and its adjoint share so both normalize with the same
+``BN_EPS``.
 ``batchnorm2d`` returns the per-channel moments it normalized with, which
 its adjoint reads; in eval mode it is the fixed per-channel affine map
 ``x * scale + shift``. Batch norm's running mean and variance are two arrays
@@ -385,10 +389,10 @@ def _padded_blocks(x, padding: int, spare_rows: int, images: int):
 
     Every block is padded into the same buffer, whose border is zeroed once,
     and a pair's maps are copied into it directly. A single map with nothing
-    to pad is yielded in slices of itself. An empty batch is one empty block."""
+    to pad is yielded in slices of itself."""
     parts = _conv_parts(x)
     n, c, h, w = _conv_input_shape(x)
-    starts = range(0, max(n, 1), images)
+    starts = range(0, n, images)
     if len(parts) == 1 and not padding and not spare_rows:
         for s in starts:
             yield s, min(s + images, n), parts[0][s:s + images]
@@ -701,7 +705,6 @@ def _sigmoid(x):
     out = np.maximum(e, x >= 0)
     e += 1.0
     out /= e
-    out = out.astype(DEFAULT_DTYPE, copy=False)
     # keep the open interval (0, 1) even when exp() underflows
     info = np.finfo(out.dtype)
     np.clip(out, info.smallest_normal, 1.0 - info.epsneg, out=out)

@@ -107,11 +107,12 @@ class OptimizerState:
         self.buffers = {p.name: np.zeros_like(p.value) for p in store.trainable()}
         self.step_count = 0
         self.epoch = 0
-        self._scratch = np.empty(SGD_CHUNK, dtype=tensor.DEFAULT_DTYPE)
+        self._scratch = np.empty(0)
 
     def _tmp(self, like: np.ndarray) -> np.ndarray:
-        if self._scratch.size < like.size:  # one row larger than a chunk
-            self._scratch = np.empty(like.size, dtype=tensor.DEFAULT_DTYPE)
+        # a chunk may be one row larger than SGD_CHUNK; the dtype is the param's
+        if self._scratch.size < like.size or self._scratch.dtype != like.dtype:
+            self._scratch = np.empty(max(SGD_CHUNK, like.size), dtype=like.dtype)
         return self._scratch[:like.size].reshape(like.shape)
 
     def absorb(self, p: Param, grad: np.ndarray) -> None:

@@ -183,18 +183,25 @@ def test_rebalance_cli_with_supplement_and_shortfall(tmp_path):
     assert report["anger"]["added"] == 3 and report["anger"]["shortfall"] == 7
 
 
-def test_rebalance_cli_rejects_malformed_manifest(tmp_path):
+def test_rebalance_cli_rejects_malformed_manifest(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("who,knows\n")
     assert run_cli("rebalance", "--manifest", bad, "--out", tmp_path / "o") == 2
+    write_manifest_text(bad, ["s,-1,img.ppm,0,primary\n"])
+    capsys.readouterr()
+    assert run_cli("rebalance", "--manifest", bad, "--out", tmp_path / "o") == 2
+    assert "line 2: frame_index must be >= 0, got -1" in capsys.readouterr().err
 
 
-def test_rebalance_cli_rejects_unknown_quota_class(tmp_path):
+def test_rebalance_cli_rejects_unknown_quota_class(tmp_path, capsys):
     src = tmp_path / "m.csv"
     write_manifest_text(src, ["s,0,img.ppm,0,primary\n"])
-    rc = run_cli("rebalance", "--manifest", src, "--quota", "joy=5",
-                 "--out", tmp_path / "o")
-    assert rc == 2
+    for quota, message in (("joy=5", "unknown class 'joy'"),
+                           ("anger=x", "'anger=x' is not of the form class=COUNT")):
+        rc = run_cli("rebalance", "--manifest", src, "--quota", quota,
+                     "--out", tmp_path / "o")
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_rebalance_cli_rejects_a_repeated_quota_class(tmp_path, capsys):
@@ -345,10 +352,21 @@ def test_train_cli_requires_manifest(tmp_path):
     assert run_cli("train", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
-def test_train_cli_rejects_bad_config(tmp_path):
+def test_train_cli_rejects_bad_config(cli_root, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"train": {"weight_dacay": 1}}))
     assert run_cli("train", "--config", cfg, "--out", tmp_path / "o") == 2
+    header_only = tmp_path / "header_only.csv"
+    write_manifest_text(header_only, [])
+    for cfg, message in (
+            (with_changes(cli_root, tmp_path, "even.json", network={"attention_kernel": 2}),
+             "/network: kernel must be odd"),
+            (with_changes(cli_root, tmp_path, "empty.json",
+                          data={"train_manifest": str(header_only)}),
+             f"/data/train_manifest: {header_only} has no records")):
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert message in capsys.readouterr().err
 
 
 def test_train_cli_rejects_a_nan_token(cli_root, tmp_path, capsys):

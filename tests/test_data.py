@@ -339,6 +339,17 @@ def test_image_rejects_truncated_pixels():
         parse_image(b"P6\n2 2\n255\n" + bytes(5))
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n1", "truncated header"),
+    (b"P5 1 1 255", "header must end with a whitespace byte"),
+    (b"P5 a 1 255\n", "non-numeric header fields"),
+    (b"P5 0 1 255\n", "bad dimensions"),
+])
+def test_image_rejects_a_malformed_header(data, message):
+    with pytest.raises(ImageFormatError, match=message):
+        parse_image(data)
+
+
 def test_image_rejects_bad_channel_count():
     with pytest.raises(ValueError):
         Image(np.zeros((2, 4, 4), dtype=np.uint8))

@@ -22,14 +22,16 @@ def run_script(*argv) -> str:
     return done.stdout
 
 
+MEMORY_TABLE = ("| forward s | backward + sgd s | forward leaves alive MiB "
+                "| backward peak above them MiB | peak RSS MiB | eval forward peak MiB |")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("conv_layouts.py", "micro", "--size", "8", "--batch", "1", "--repeats", "1"),
      ["| conv | input | count | fwd im2col | fwd taps |", "totals over every conv"]),
-    (("heap_faults.py", "micro", "--size", "8", "--batch", "2", "--steps", "1"),
-     ["| step | wall s | user s | sys s | minor faults |", "| train step |"]),
-    (("step_memory.py", "micro", "--size", "8", "--batch", "2"),
-     ["| forward s | backward + sgd s | forward leaves alive MiB "
-      "| backward peak above them MiB | peak RSS MiB | eval forward peak MiB |"]),
+    (("step_memory.py", "micro", "--size", "8", "--batch", "2", "--steps", "1"),
+     [MEMORY_TABLE, "| step | wall s | user s | sys s | minor faults |", "| train step |"]),
+    (("step_memory.py", "micro", "--size", "8", "--batch", "2"), [MEMORY_TABLE]),
     (("code_lines.py",), ["src/llanet/autodiff.py", "total"]),
 ])
 def test_dev_script_runs(argv, expected):

@@ -157,6 +157,23 @@ def test_conv_batch_blocks_are_bit_identical_to_one_block(monkeypatch, stride, p
             assert len(sizes) > 1 and sizes[-1] < sizes[0]
 
 
+@pytest.mark.parametrize("pair", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])  # taps, im2col
+def test_both_conv_layouts_take_an_empty_batch(stride, pair):
+    rng = np.random.default_rng(42)
+    spec = ConvSpec(4, 5, 3, 3, stride=stride, padding=1)
+    a, b = rand(rng, 0, 2, 8, 8), rand(rng, 0, 3, 8, 8)
+    x = (a, b) if pair else np.concatenate([a, b], axis=1)
+    weight, bias = rand(rng, *spec.weight_shape), rand(rng, 4)
+    oh, ow = tensor.conv_output_hw(spec, 8, 8)
+    assert tensor._on_taps(spec, oh, ow) == (stride == 1)
+    dy = rand(rng, 0, 4, oh, ow)
+    assert tensor.conv2d(x, weight, bias, spec).shape == (0, 4, oh, ow)
+    dw = tensor.conv2d_weight_grad(x, dy, spec)
+    npt.assert_array_equal(dw, np.zeros(spec.weight_shape))
+    assert tensor.conv2d_input_grad(weight, dy, spec, 8, 8).shape == (0, 5, 8, 8)
+
+
 def test_blocked_im2col_forward_never_forms_the_whole_column_matrix(monkeypatch):
     rng = np.random.default_rng(41)
     spec = ConvSpec(2, 8, 3, 3, stride=2, padding=1, has_bias=False)

@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from llanet import tensor, training
+from llanet import autodiff, data, tensor, training
 from llanet.autodiff import Param
 from llanet.data import Image, SampleRecord
 from llanet.network import init_network, network_forward, preset
@@ -477,6 +477,46 @@ def test_a_streamed_step_is_bit_identical_to_sgd_step_on_the_gradient_dict(atten
     assert s_state.buffers.keys() == w_state.buffers.keys()
     for name, buf in s_state.buffers.items():
         assert buf.tobytes() == w_state.buffers[name].tobytes(), name
+
+
+@pytest.mark.parametrize("attention", ["learned", "frozen", "off"])
+def test_the_dtype_set_where_values_enter_carries_through_a_step(monkeypatch, attention):
+    # Params, graph constants and image tensors take DEFAULT_DTYPE; every
+    # kernel, adjoint and optimizer buffer then follows its inputs
+    monkeypatch.setattr(autodiff, "DEFAULT_DTYPE", np.float32)
+    monkeypatch.setattr(data, "DEFAULT_DTYPE", np.float32)
+    cfg = preset("micro", seed=0, attention=attention)
+    store = init_network(cfg)
+    dataset = micro_dataset()
+    x = training._batch_tensor(dataset.images[:2], NORM)
+    outputs, handed = [], []
+
+    class Watched(training.GradGraph):
+        def __init__(self, *args, sink=None, **kwargs):
+            def watching(name, grad):
+                handed.append((name, grad.dtype))
+                sink(name, grad)
+
+            super().__init__(*args, sink=watching, **kwargs)
+
+        def _record(self, value, backprop, label, *inputs):
+            outputs.append((label, np.asarray(value).dtype))
+            return super()._record(value, backprop, label, *inputs)
+
+    monkeypatch.setattr(training, "GradGraph", Watched)
+    state = OptimizerState(store, TrainConfig(weight_decay=5e-4))
+    training.train_step(store, state, x, dataset.labels[:2], cfg, 0.1)
+    assert x.dtype == np.float32
+    assert outputs.pop() == ("softmax_cross_entropy", np.float64)
+    gate = {"sigmoid", "hadamard"} if attention != "off" else set()
+    assert {label for label, _ in outputs} >= {"conv2d", "batchnorm2d", "relu", "add", "linear",
+                                               "global_avg_pool", "flatten", *gate}
+    assert all(dtype == np.float32 for _, dtype in outputs), outputs
+    assert sorted(name for name, _ in handed) == sorted(p.name for p in store.trainable())
+    assert all(dtype == np.float32 for _, dtype in handed), handed
+    assert all(p.value.dtype == np.float32 for p in store)
+    assert all(buf.dtype == np.float32 for buf in state.buffers.values())
+    assert state._scratch.dtype == np.float32
 
 
 def test_a_step_rejects_a_trainable_param_the_graph_never_entered():
