@@ -24,6 +24,12 @@ has freed of the tape by then. Last, it prints the ``tracemalloc`` peak of
 one no-record ``network.network_forward`` on the same batch, what evaluation
 runs: the maps of one module at a time plus a conv's working buffers.
 
+A second table splits what the tape of that forward keeps by the op that
+made each array: ``autodiff.tape_arrays`` lists the arrays the tape holds,
+each counted once, and a graph that notes the op behind each output names
+them. Params are left out; arrays no op made (batch norm's moments, the
+labels) and outputs of the other ops count as "other".
+
 With ``--steps S`` it then times two kinds of step, each once to warm up and
 then S times: that no-record forward and the train step. For each kind it
 prints the wall, user and system seconds and the minor page faults per step,
@@ -48,6 +54,7 @@ import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
+import weakref  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -57,6 +64,41 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from llanet import autodiff, network, training  # noqa: E402
 
 MIB = 1024.0 * 1024.0
+KEPT_OPS = ("conv2d", "batchnorm2d", "relu", "add", "sigmoid", "hadamard")
+
+
+class _Labelled(autodiff.GradGraph):
+    """Notes the op that made each output's base array, by ``id``; a weak
+    reference tells an array that has died from a later one with its id."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made = {}
+
+    def _record(self, value, backprop, label, *inputs):
+        base = value
+        while isinstance(base, np.ndarray) and isinstance(base.base, np.ndarray):
+            base = base.base
+        if isinstance(base, np.ndarray):
+            self.made[id(base)] = (weakref.ref(base), label)
+        return super()._record(value, backprop, label, *inputs)
+
+
+def kept_by_op(forward, store) -> dict[str, int]:
+    """Bytes the tape of ``forward(graph)`` keeps, by the op that made each
+    array, params left out; "other" for the rest."""
+    graph = _Labelled(sink=lambda name, grad: None)
+    loss = forward(graph)
+    params = {id(p.value) for p in store}
+    kept = dict.fromkeys((*KEPT_OPS, "other"), 0)
+    for array in autodiff.tape_arrays(graph):
+        if id(array) in params:
+            continue
+        ref, label = graph.made.get(id(array), (None, "other"))
+        kept[label if ref is not None and ref() is array and label in kept else "other"] += \
+            array.nbytes
+    del loss
+    return kept
 
 
 def per_step(step, steps: int) -> dict:
@@ -91,9 +133,12 @@ def main(argv=None) -> int:
     train_cfg = training.TrainConfig(batch_size=args.batch)
     state = training.OptimizerState(store, train_cfg)
 
+    def loss_of(graph):
+        return network.network_loss_graph(graph, x, labels, store, cfg, train=True)[1]
+
     def forward():
         graph = autodiff.GradGraph(sink=lambda name, grad: None)
-        return graph, network.network_loss_graph(graph, x, labels, store, cfg, train=True)[1]
+        return graph, loss_of(graph)
 
     # the step's forward ends when its loss graph returns
     loss_graph, forward_done = training.network_loss_graph, []
@@ -134,6 +179,12 @@ def main(argv=None) -> int:
     print("|---|---|---|---|---|---|")
     print(f"| {t1 - t0:.2f} | {t2 - t1:.2f} | {kept / MIB:.0f} | {backward_peak / MIB:.0f} "
           f"| {peak / MIB:.0f} | {eval_peak / MIB:.0f} |")
+    by_op = kept_by_op(loss_of, store)
+    print("\nwhat the forward's tape keeps, by the op that made each array, params left out:")
+    print("| kept MiB | " + " | ".join(by_op) + " |")
+    print("|---" * (len(by_op) + 1) + "|")
+    print(f"| {sum(by_op.values()) / MIB:.1f} | "
+          + " | ".join(f"{v / MIB:.1f}" for v in by_op.values()) + " |")
     if not args.steps:
         return 0
 

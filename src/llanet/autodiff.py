@@ -16,7 +16,30 @@ its inputs' handles, never a ``Node``. So an op output that no adjoint reads
 dies by reference counting with its last forward use: a batch-norm output
 that only feeds an add or a ReLU, a residual sum, the gate's pre-sigmoid
 conv output. ReLU masks on its own output, which is positive exactly where
-its input is. ``conv2d`` also takes a pair of nodes as one input, as the gate
+its input is.
+
+What each adjoint keeps: a conv its input, for dW, and its weight, for dx;
+batch norm its input, gamma and the kernel's moments; a ReLU and the sigmoid
+their output; the product each input, for the other's gradient; max-pool
+and the linear head their inputs; the loss its softmax. ``add``, ``concat``,
+``flatten`` and global pooling keep none. The cheap elementwise outputs are
+remade rather than kept (the cheap-op rule of Chen et al., arXiv:1604.06174):
+a taped batch norm's output carries a ``_Remake``, a closure that calls
+``tensor.batchnorm_output``, the kernel's own normalize-then-affine code,
+again on the input and moments its adjoint keeps anyway, so the bits are
+the same and no running statistic moves twice; an ``add``, ``relu`` or
+``hadamard`` whose input has a remake gets one that runs its own kernel on
+its inputs' arrays or remakes. An adjoint that reads such a node (a conv's
+dW, the gate conv's ``(F_pre, F_cur)`` pair included, the ReLU's sign test,
+the product's ``dy * f_cur``) keeps the remake instead of the array, and
+counts one read. In the sweep the first reader computes the value and the
+last drops it, so ReLU outputs, residual sums and gate products live only
+between their readers. Convs and the sigmoid are never remade: no adjoint
+keeps their input (the sigmoid's is the gate conv's output), and a conv is
+the expensive op, so the conv outputs and masks are what the tape keeps.
+A graph that records no tape builds no remakes.
+
+``conv2d`` also takes a pair of nodes as one input, as the gate
 conv reads ``F_pre``‖``F_cur``: the conv kernels copy both maps into the
 padded buffer they build anyway, in the forward and in the adjoint's dW, so
 the concat is never formed at all. Batch norm takes its running mean and
@@ -28,9 +51,9 @@ kernel's own arrays) rather than computing them again. It reduces over an
 train-mode sums over gamma * dy are then gamma * dbeta and gamma * dgamma,
 so it forms dx = gamma * inv * (dy - dbeta/m - xhat * dgamma/m) in place in
 the xhat it rebuilds, a few passes over the map instead of about fifteen.
-Eval mode's dx is one pass, dy * (gamma * inv). Since the tape keeps no op
+Eval mode's dx is one pass, dy * (gamma * inv). Since the tape keeps few op
 outputs, ``first_non_finite`` rebuilds a failed step's forward to find the
-first one that is not finite.
+first one that is not finite, on a graph that builds no remakes.
 
 ``backward`` walks the tape in reverse creation order, which is a valid
 topological order. It keeps the pending cotangents itself, keyed on handles,
@@ -148,14 +171,17 @@ class Handle:
 
 
 class Node:
-    """A graph value; ``handle`` is its ``Handle`` when it needs a gradient, else None."""
+    """A graph value; ``handle`` is its ``Handle`` when it needs a gradient,
+    else None, and ``remake`` its ``_Remake`` when an adjoint that reads it
+    should rebuild it rather than keep it, else None."""
 
-    __slots__ = ("value", "label", "handle")
+    __slots__ = ("value", "label", "handle", "remake")
 
     def __init__(self, value, label="", handle=None):
         self.value = value
         self.label = label
         self.handle = handle
+        self.remake = None
 
     @property
     def shape(self):
@@ -163,6 +189,71 @@ class Node:
 
     def __repr__(self):
         return f"Node({self.label or 'const'}, shape={np.shape(self.value)})"
+
+
+class _Remake:
+    """Rebuilds a taped op's output during the sweep from what the tape keeps.
+
+    ``fn(*values)`` is the op's own forward code, and each source is either
+    an array the tape keeps anyway or another remake, which gives its value.
+    Each adjoint that reads the output counts one read with ``want`` while
+    the forward runs, and the first counts this remake's one read of each
+    remade source. In the sweep, ``take`` returns the value: the first read
+    computes it and lets the sources go, and the last drops it.
+    """
+
+    __slots__ = ("_fn", "_sources", "_value", "_pending")
+
+    def __init__(self, fn, *sources):
+        self._fn, self._sources = fn, sources
+        self._value = None
+        self._pending = 0
+
+    def want(self) -> _Remake:
+        self._pending += 1
+        if self._pending == 1:
+            for source in self._sources:
+                if isinstance(source, _Remake):
+                    source.want()
+        return self
+
+    def take(self) -> np.ndarray:
+        if self._fn is not None:
+            self._value = self._fn(*map(_read, self._sources))
+            self._fn = self._sources = None
+        value = self._value
+        self._pending -= 1
+        if not self._pending:
+            self._value = None
+        return value
+
+
+def _kept(x: Node | tuple[Node, Node]):
+    """What an adjoint keeps to read node ``x``, or each node of a pair: its
+    remake, with the read counted, or else its array."""
+    if isinstance(x, tuple):
+        return tuple(map(_kept, x))
+    return x.value if x.remake is None else x.remake.want()
+
+
+def _read(kept):
+    """The value, or pair of values, of what ``_kept`` returned, in the sweep."""
+    if isinstance(kept, tuple):
+        return tuple(map(_read, kept))
+    return kept.take() if isinstance(kept, _Remake) else kept
+
+
+def _relu(x):
+    return tensor.activation(x, "relu")
+
+
+def _remake(fn, *inputs: Node) -> _Remake | None:
+    """A remake of an elementwise op's output as ``fn`` of its inputs' values,
+    when some input has a remake, the rest read as their arrays; else None."""
+    for x in inputs:  # a plain loop, as in ``_record``
+        if x.remake is not None:
+            return _Remake(fn, *(y.value if y.remake is None else y.remake for y in inputs))
+    return None
 
 
 class GradGraph:
@@ -226,13 +317,13 @@ class GradGraph:
         out = tensor.conv2d(xv, weight.value, None if bias is None else bias.value, spec)
         ha, hb = a.handle, None if b is None else b.handle
         hw, hbias = weight.handle, None if bias is None else bias.handle
-        kept = xv if hw is not None else None
+        kept = None if hw is None else _kept(x)
         wv = weight.value if ha is not None or hb is not None else None
         ca, (h, w) = a.value.shape[1], a.value.shape[2:]
 
         def backprop(dy, send):
             if hw is not None:
-                send(hw, tensor.conv2d_weight_grad(kept, dy, spec))
+                send(hw, tensor.conv2d_weight_grad(_read(kept), dy, spec))
             if hbias is not None:
                 send(hbias, dy.sum(axis=(0, 2, 3)))
             if wv is not None:
@@ -273,17 +364,24 @@ class GradGraph:
             xhat3 *= scale[:, None]
             send(hx, xhat)
 
-        return self._record(out, backprop, "batchnorm2d", x, gamma, beta)
+        node = self._record(out, backprop, "batchnorm2d", x, gamma, beta)
+        if node.handle is not None:  # the adjoint keeps x, so the output is remade from it
+            bv = beta.value
+            node.remake = _Remake(lambda: tensor.batchnorm_output(xv, gv, bv, mean, var, train))
+        return node
 
     def relu(self, x: Node) -> Node:
         out = tensor.activation(x.value, "relu")
-        hx = x.handle
+        hx, remake = x.handle, _remake(_relu, x)
+        kept = out if remake is None else remake.want()
 
         def backprop(dy, send):
             # out > 0 exactly where x > 0 (NaN and -0.0 included), so x need not be kept
-            send(hx, dy * (out > 0))
+            send(hx, dy * (_read(kept) > 0))
 
-        return self._record(out, backprop, "relu", x)
+        node = self._record(out, backprop, "relu", x)
+        node.remake = remake
+        return node
 
     def sigmoid(self, x: Node) -> Node:
         out = tensor.activation(x.value, "sigmoid")
@@ -307,16 +405,18 @@ class GradGraph:
     def hadamard(self, a: Node, b: Node) -> Node:
         out = tensor.hadamard(a.value, b.value)
         ha, hb = a.handle, b.handle
-        av = a.value if hb is not None else None
-        bv = b.value if ha is not None else None
+        ka = _kept(a) if hb is not None else None
+        kb = _kept(b) if ha is not None else None
 
         def backprop(dy, send):
             if ha is not None:
-                send(ha, dy * bv)
+                send(ha, dy * _read(kb))
             if hb is not None:
-                send(hb, dy * av)
+                send(hb, dy * _read(ka))
 
-        return self._record(out, backprop, "hadamard", a, b)
+        node = self._record(out, backprop, "hadamard", a, b)
+        node.remake = _remake(tensor.hadamard, a, b)
+        return node
 
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
@@ -328,7 +428,9 @@ class GradGraph:
             send(ha, dy)
             send(hb, dy)
 
-        return self._record(out, backprop, "add", a, b)
+        node = self._record(out, backprop, "add", a, b)
+        node.remake = _remake(np.add, a, b)
+        return node
 
     def maxpool(self, x: Node, window: int, stride: int | None = None) -> Node:
         stride = window if stride is None else stride
@@ -359,7 +461,7 @@ class GradGraph:
 
     def flatten(self, x: Node) -> Node:
         hx, shape = x.handle, x.value.shape
-        out = x.value.reshape(shape[0], -1)
+        out = x.value.reshape(shape[0], math.prod(shape[1:]))
 
         def backprop(dy, send):
             send(hx, dy.reshape(shape))
@@ -462,6 +564,37 @@ class GradGraph:
         return dict(reversed(collected.items())) if self.sink is None else None
 
 
+def tape_arrays(graph: GradGraph) -> list[np.ndarray]:
+    """Every distinct array the tape of ``graph`` holds until its sweep
+    frees it, params included, a view counted as the array it views.
+
+    It walks each adjoint not yet run: the arrays its closure captures,
+    directly, in a pair or through a remake (the remake's sources and its
+    function's closure), and the remakes those reach.
+    """
+    found, seen = {}, set()
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, tuple):
+            for item in obj:
+                walk(item)
+        elif id(obj) not in seen:
+            seen.add(id(obj))
+            if isinstance(obj, _Remake):
+                walk(obj._sources)
+                obj = obj._fn
+            for cell in getattr(obj, "__closure__", None) or ():
+                walk(cell.cell_contents)
+
+    for handle in graph._tape:
+        walk(handle._backprop)
+    return list(found.values())
+
+
 class _FiniteWatch(GradGraph):
     """A graph that tapes no adjoints and notes the first op output that is
     not finite, among the outputs a recording graph would tape."""
@@ -474,6 +607,13 @@ class _FiniteWatch(GradGraph):
         node = super()._record(value, None, label, *inputs)
         if node.handle is not None and self.first is None and not np.isfinite(value).all():
             self.first = (label, self._param_read(inputs))
+        return node
+
+    def batchnorm2d(self, *args, **kwargs) -> Node:
+        # no adjoint reads the output, and a remake would keep every later
+        # remake's sources alive until the forward ends; every remake starts here
+        node = super().batchnorm2d(*args, **kwargs)
+        node.remake = None
         return node
 
     def _param_read(self, inputs) -> str | None:

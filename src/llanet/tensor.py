@@ -678,10 +678,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
         raise DimensionError(f"beta shape {beta.shape} must be ({c},)", axis="channels")
     if not train:
         mean, var = running_mean.copy(), running_var.copy()
-        scale = gamma / np.sqrt(var + BN_EPS)
-        out = x * scale[None, :, None, None]
-        out += (beta - mean * scale)[None, :, None, None]
-        return out, mean, var
+        return batchnorm_output(x, gamma, beta, mean, var, train), mean, var
     m = x.shape[0] * x.shape[2] * x.shape[3]
     if m < 2:
         raise ValueError("train-mode batch norm needs at least 2 values per channel")
@@ -690,10 +687,26 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
         for running, batch in ((running_mean, mean), (running_var, var * (m / (m - 1.0)))):
             running *= 1.0 - BN_MOMENTUM
             running += BN_MOMENTUM * batch
+    return batchnorm_output(x, gamma, beta, mean, var, train), mean, var
+
+
+def batchnorm_output(x, gamma, beta, mean, var, train: bool) -> np.ndarray:
+    """Batch norm's output from the per-channel moments it normalizes with.
+
+    Train mode normalizes, then scales and shifts; eval mode applies the
+    fixed affine map ``x * scale + shift``. ``batchnorm2d`` computes its
+    output here, and a tape that rebuilds that output calls this again with
+    the same arrays, so both have the same bits and no running statistic
+    moves a second time."""
+    if not train:
+        scale = gamma / np.sqrt(var + BN_EPS)
+        out = x * scale[None, :, None, None]
+        out += (beta - mean * scale)[None, :, None, None]
+        return out
     out, _ = _normalize(x, mean, var)
     out *= gamma[None, :, None, None]
     out += beta[None, :, None, None]
-    return out, mean, var
+    return out
 
 
 def _sigmoid(x):

@@ -723,6 +723,105 @@ def test_backward_frees_each_adjoints_arrays_as_it_sweeps():
     assert grads["x"].nbytes == mib and left < 2 * mib
 
 
+class Copying(GradGraph):
+    """Keeps each op's label, node, a copy of its output and its inputs, as
+    the op makes them; holding the nodes keeps every output's id unique."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.outputs = []
+
+    def _record(self, value, backprop, label, *inputs):
+        node = super()._record(value, backprop, label, *inputs)
+        self.outputs.append((label, node, np.copy(value), inputs))
+        return node
+
+
+def sized(name, size, mode):
+    cfg = network.preset(name, attention=mode)
+    return dataclasses.replace(cfg, input_shape=(3, size, size))
+
+
+@pytest.mark.parametrize("mode", network.ATTENTION_MODES)
+@pytest.mark.parametrize("name, size", [("micro", 8), ("tiny", 32), ("resnet18", 64)])
+def test_remakes_rebuild_the_forward_bit_for_bit(monkeypatch, name, size, mode):
+    cfg = sized(name, size, mode)
+    store, alone = network.init_network(cfg), network.init_network(cfg)
+    x = np.random.default_rng(30).standard_normal((2, 3, size, size))
+    g = Copying()
+    _, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True)
+    # the output of each batch norm, add, ReLU and gate product has a remake,
+    # and no other output does
+    remade = ("batchnorm2d", "add", "relu", "hadamard")
+    assert all((node.remake is not None) == (label in remade) for label, node, _, _ in g.outputs)
+    copies = {id(node.remake): (node.remake, out) for _, node, out, _ in g.outputs
+              if node.remake is not None}
+    take, taken = autodiff._Remake.take, set()
+
+    def checked(remake):
+        value = take(remake)
+        out = copies[id(remake)][1]
+        assert value.dtype == out.dtype and np.array_equal(value, out)
+        taken.add(id(remake))
+        return value
+
+    monkeypatch.setattr(autodiff._Remake, "take", checked)
+    g.backward(loss)
+    # each ReLU's own adjoint reads its output, so every ReLU output was remade
+    assert {id(node.remake) for label, node, _, _ in g.outputs if label == "relu"} <= taken
+    # a remake never moves the running statistics: one forward alone leaves them the same
+    network.network_loss_graph(GradGraph(), x, [0, 1], alone, cfg, train=True)
+    running = [p.name for p in store if p.name.endswith(("running_mean", "running_var"))]
+    assert running and all(np.array_equal(store[n].value, alone[n].value) for n in running)
+
+
+def base_of(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("mode", network.ATTENTION_MODES)
+def test_the_tape_keeps_no_relu_output_or_gate_product(mode):
+    cfg = network.preset("tiny", attention=mode)
+    store = network.init_network(cfg)
+    x = np.random.default_rng(31).standard_normal((2, *cfg.input_shape))
+    g = Copying()
+    network.network_loss_graph(g, x, [0, 1], store, cfg, train=True)
+    held = {id(a) for a in autodiff.tape_arrays(g)}
+    made = {}
+    for label, node, _, inputs in g.outputs:
+        made.setdefault(label, []).append(id(base_of(node.value)))
+        if label == "batchnorm2d":  # its adjoint keeps its input, and its remake reads it
+            made.setdefault("batch-norm input", []).append(id(base_of(inputs[0].value)))
+    assert made["relu"] and ("hadamard" in made) == (mode != "off")
+    assert held.isdisjoint(made["relu"] + made.get("hadamard", []))
+    assert set(made["batch-norm input"] + made.get("sigmoid", [])) <= held
+
+
+@pytest.mark.parametrize("mode", network.ATTENTION_MODES)
+def test_the_sweep_holds_few_remade_maps_at_once(monkeypatch, mode):
+    cfg = network.preset("tiny", attention=mode)
+    store = network.init_network(cfg)
+    x = np.random.default_rng(32).standard_normal((2, *cfg.input_shape))
+    g = GradGraph()
+    _, loss = network.network_loss_graph(g, x, [0, 1], store, cfg, train=True)
+    take, returned, most = autodiff._Remake.take, {}, [0]
+
+    def counted(remake):
+        value = take(remake)
+        returned[id(value)] = weakref.ref(value)
+        most[0] = max(most[0], sum(ref() is not None for ref in returned.values()))
+        return value
+
+    monkeypatch.setattr(autodiff._Remake, "take", counted)
+    g.backward(loss)
+    # at most the module input, F_cur, the ReLU output being remade and the
+    # one it is remade from: not a map per module
+    assert len(returned) > 4 and most[0] <= 4
+    assert all(ref() is None for ref in returned.values())
+
+
 def test_a_graph_can_be_backpropagated_once():
     x = Param("x", np.random.default_rng(12).standard_normal((1, 2, 3, 3)))
     g = GradGraph()

@@ -260,6 +260,13 @@ def test_off_mode_passes_block_output_through(module_spy):
         assert mod.refined is mod.f_cur
 
 
+@pytest.mark.parametrize("name", ["micro", "tiny"])
+def test_an_empty_batch_gives_empty_logits(name):
+    cfg = preset(name)
+    logits = network_forward(np.zeros((0, 3, 8, 8)), init_network(cfg), cfg)
+    assert logits.shape == (0, cfg.num_classes)
+
+
 def test_variable_input_resolution():
     # evaluation crops are smaller than the nominal training size
     cfg = preset("tiny")

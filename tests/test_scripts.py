@@ -24,6 +24,7 @@ def run_script(*argv) -> str:
 
 MEMORY_TABLE = ("| forward s | backward + sgd s | forward leaves alive MiB "
                 "| backward peak above them MiB | peak RSS MiB | eval forward peak MiB |")
+KEPT_TABLE = "| kept MiB | conv2d | batchnorm2d | relu | add | sigmoid | hadamard | other |"
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -31,7 +32,7 @@ MEMORY_TABLE = ("| forward s | backward + sgd s | forward leaves alive MiB "
      ["| conv | input | count | fwd im2col | fwd taps |", "totals over every conv"]),
     (("step_memory.py", "micro", "--size", "8", "--batch", "2", "--steps", "1"),
      [MEMORY_TABLE, "| step | wall s | user s | sys s | minor faults |", "| train step |"]),
-    (("step_memory.py", "micro", "--size", "8", "--batch", "2"), [MEMORY_TABLE]),
+    (("step_memory.py", "micro", "--size", "8", "--batch", "2"), [MEMORY_TABLE, KEPT_TABLE]),
     (("code_lines.py",), ["src/llanet/autodiff.py", "total"]),
 ])
 def test_dev_script_runs(argv, expected):
