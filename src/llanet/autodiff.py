@@ -31,10 +31,14 @@ the same and no running statistic moves twice; an ``add``, ``relu`` or
 ``hadamard`` whose input has a remake gets one that runs its own kernel on
 its inputs' arrays or remakes. An adjoint that reads such a node (a conv's
 dW, the gate conv's ``(F_pre, F_cur)`` pair included, the ReLU's sign test,
-the product's ``dy * f_cur``) keeps the remake instead of the array, and
-counts one read. In the sweep the first reader computes the value and the
-last drops it, so ReLU outputs, residual sums and gate products live only
-between their readers. Convs and the sigmoid are never remade: no adjoint
+the product's ``dy * f_cur``) keeps the remake instead of the array. In the
+sweep the first reader computes the value and the remake caches it, and
+reference counting does the rest: a remake is held only by the adjoints
+that read its node and by the remakes built on it, until each of those has
+run or taken its value, so ReLU outputs, residual sums and gate products
+live only between their readers. Adjoints and remakes refer only to
+remakes made before them, never to a graph or a node, so there is no cycle
+to keep one alive longer. Convs and the sigmoid are never remade: no adjoint
 keeps their input (the sigmoid's is the gate conv's output), and a conv is
 the expensive op, so the conv outputs and masks are what the tape keeps.
 A graph that records no tape builds no remakes.
@@ -53,7 +57,7 @@ so it forms dx = gamma * inv * (dy - dbeta/m - xhat * dgamma/m) in place in
 the xhat it rebuilds, a few passes over the map instead of about fifteen.
 Eval mode's dx is one pass, dy * (gamma * inv). Since the tape keeps few op
 outputs, ``first_non_finite`` rebuilds a failed step's forward to find the
-first one that is not finite, on a graph that builds no remakes.
+first one that is not finite, on a graph that records no tape.
 
 ``backward`` walks the tape in reverse creation order, which is a valid
 topological order. It keeps the pending cotangents itself, keyed on handles,
@@ -196,44 +200,34 @@ class _Remake:
 
     ``fn(*values)`` is the op's own forward code, and each source is either
     an array the tape keeps anyway or another remake, which gives its value.
-    Each adjoint that reads the output counts one read with ``want`` while
-    the forward runs, and the first counts this remake's one read of each
-    remade source. In the sweep, ``take`` returns the value: the first read
-    computes it and lets the sources go, and the last drops it.
+    In the sweep, ``take`` returns the value: the first call computes it,
+    lets the sources go and caches it. The value dies with the remake. Its
+    node holds it during the forward; after that only the adjoints that read
+    the node hold it, until the sweep drops each one, and the remakes built
+    on it, until their own first ``take``. Each of those refers only to
+    remakes and arrays made before it, so no cycle keeps a remake alive past
+    its last reader.
     """
 
-    __slots__ = ("_fn", "_sources", "_value", "_pending")
+    __slots__ = ("_fn", "_sources", "_value")
 
     def __init__(self, fn, *sources):
         self._fn, self._sources = fn, sources
         self._value = None
-        self._pending = 0
-
-    def want(self) -> _Remake:
-        self._pending += 1
-        if self._pending == 1:
-            for source in self._sources:
-                if isinstance(source, _Remake):
-                    source.want()
-        return self
 
     def take(self) -> np.ndarray:
         if self._fn is not None:
             self._value = self._fn(*map(_read, self._sources))
             self._fn = self._sources = None
-        value = self._value
-        self._pending -= 1
-        if not self._pending:
-            self._value = None
-        return value
+        return self._value
 
 
 def _kept(x: Node | tuple[Node, Node]):
     """What an adjoint keeps to read node ``x``, or each node of a pair: its
-    remake, with the read counted, or else its array."""
+    remake, which holds the value from the first read on, or else its array."""
     if isinstance(x, tuple):
         return tuple(map(_kept, x))
-    return x.value if x.remake is None else x.remake.want()
+    return x.value if x.remake is None else x.remake
 
 
 def _read(kept):
@@ -373,7 +367,7 @@ class GradGraph:
     def relu(self, x: Node) -> Node:
         out = tensor.activation(x.value, "relu")
         hx, remake = x.handle, _remake(_relu, x)
-        kept = out if remake is None else remake.want()
+        kept = out if remake is None else remake
 
         def backprop(dy, send):
             # out > 0 exactly where x > 0 (NaN and -0.0 included), so x need not be kept
@@ -596,25 +590,17 @@ def tape_arrays(graph: GradGraph) -> list[np.ndarray]:
 
 
 class _FiniteWatch(GradGraph):
-    """A graph that tapes no adjoints and notes the first op output that is
-    not finite, among the outputs a recording graph would tape."""
+    """A graph that records no tape and notes the first op output that is
+    not finite."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__(record=False)
         self.first = None
 
     def _record(self, value, backprop, label, *inputs) -> Node:
-        node = super()._record(value, None, label, *inputs)
-        if node.handle is not None and self.first is None and not np.isfinite(value).all():
+        if self.first is None and not np.isfinite(value).all():
             self.first = (label, self._param_read(inputs))
-        return node
-
-    def batchnorm2d(self, *args, **kwargs) -> Node:
-        # no adjoint reads the output, and a remake would keep every later
-        # remake's sources alive until the forward ends; every remake starts here
-        node = super().batchnorm2d(*args, **kwargs)
-        node.remake = None
-        return node
+        return super()._record(value, backprop, label, *inputs)
 
     def _param_read(self, inputs) -> str | None:
         """Name of the first non-finite param among ``inputs``, else of the first param."""
@@ -625,15 +611,17 @@ class _FiniteWatch(GradGraph):
 
 
 def first_non_finite(make_loss) -> tuple[str, str | None] | None:
-    """Op kind of the earliest taped op whose output holds a NaN or an inf,
-    and the name of the param it reads (its first non-finite one, else its
+    """Op kind of the earliest op whose output holds a NaN or an inf, and
+    the name of the param it reads (its first non-finite one, else its
     first; None for an op that reads no param); None when every output is finite.
 
     A tape keeps no op outputs to scan, so ``make_loss(graph)`` rebuilds the
-    forward, as in ``grad_check``, on a graph that checks each output as its
-    op creates it. For the result to name the op that failed, the rebuild must
-    compute the same values: a train-mode forward passes
-    ``update_running=False`` so the running statistics move only once.
+    forward, as in ``grad_check``, on a graph that records no tape and checks
+    each output as its op creates it. In the network every op output depends
+    on a trainable param, so this is the earliest op the failed step taped.
+    For the result to name the op that failed, the rebuild must compute the
+    same values: a train-mode forward passes ``update_running=False`` so the
+    running statistics move only once.
     """
     graph = _FiniteWatch()
     make_loss(graph)

@@ -96,6 +96,7 @@ presets run on one thread exactly as before.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,18 +205,17 @@ CONV_BLOCK_BYTES = 1 << 20
 # it saves.
 SPLIT_FLOPS = 16_000_000
 
-# The second conv worker, started by the first split GEMM that may run on two
-# CPUs; the calling thread is the first. A forked child has no such thread, so
-# it starts its own.
-_second_worker = None
+
+@functools.cache
+def _second_worker():
+    """The second conv worker, started by the first split GEMM that may run on
+    two CPUs; the calling thread is the first. A forked child has no such
+    thread, so it forgets the parent's and starts its own."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="llanet-conv")
 
 
-def _forget_second_worker() -> None:
-    global _second_worker
-    _second_worker = None
-
-
-os.register_at_fork(after_in_child=_forget_second_worker)
+os.register_at_fork(after_in_child=_second_worker.cache_clear)
 
 
 def conv_workers() -> int:
@@ -249,11 +249,7 @@ def _in_parts(rows: int, parts: int, work, *args) -> None:
         work(0, half, *args)
         work(half, rows, *args)
         return
-    global _second_worker
-    if _second_worker is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _second_worker = ThreadPoolExecutor(1, thread_name_prefix="llanet-conv")
-    second = _second_worker.submit(work, half, rows, *args)
+    second = _second_worker().submit(work, half, rows, *args)
     try:
         work(0, half, *args)
     finally:

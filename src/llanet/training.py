@@ -73,7 +73,7 @@ class DivergenceError(ValueError):
     """A train step gave a loss or a gradient that is not finite."""
 
 
-# Elements per in-place SGD pass: the param, gradient, buffer and scratch
+# Elements per in-place SGD pass: the param, gradient, buffer and temporary
 # slices of one pass (1 MiB in float64) stay in the L2 cache. One thread, an
 # update of every resnet18 weight took 76 ms this way against 150 ms for the
 # whole-array formula with its weight-sized temporaries.
@@ -93,8 +93,8 @@ class OptimizerState:
     """Momentum buffers mirroring the trainable parameters, plus step/epoch counters.
 
     The SGD formula comes in two halves, each run per param in ``SGD_CHUNK``
-    slices with its temporaries in one scratch buffer, so no temporary is as
-    large as a weight: ``absorb`` folds a gradient into the param's buffer,
+    slices with chunk-sized temporaries, so no temporary is as large as a
+    weight: ``absorb`` folds a gradient into the param's buffer,
     ``apply`` moves the param by it. Every element goes through the same
     operations as in the whole-array formula, so the results are
     bit-identical to it.
@@ -107,13 +107,6 @@ class OptimizerState:
         self.buffers = {p.name: np.zeros_like(p.value) for p in store.trainable()}
         self.step_count = 0
         self.epoch = 0
-        self._scratch = np.empty(0)
-
-    def _tmp(self, like: np.ndarray) -> np.ndarray:
-        # a chunk may be one row larger than SGD_CHUNK; the dtype is the param's
-        if self._scratch.size < like.size or self._scratch.dtype != like.dtype:
-            self._scratch = np.empty(max(SGD_CHUNK, like.size), dtype=like.dtype)
-        return self._scratch[:like.size].reshape(like.shape)
 
     def absorb(self, p: Param, grad: np.ndarray) -> None:
         """g = grad + wd*param; buf = momentum*buf + g (in place; the param stays)."""
@@ -121,21 +114,18 @@ class OptimizerState:
             raise ValueError(f"gradient shape {grad.shape} != parameter shape {p.value.shape} "
                              f"for {p.name!r}")
         decay = self.weight_decay if not (self.exempt_flagged and p.decay_exempt) else 0.0
-        for v, b, g in _chunks(p.value, self.buffers[p.name], grad):
+        for v, b, chunk in _chunks(p.value, self.buffers[p.name], grad):
+            g = chunk
             if decay:
-                tmp = self._tmp(v)
-                np.multiply(v, decay, out=tmp)
-                tmp += g
-                g = tmp
+                g = v * decay
+                g += chunk
             b *= self.momentum
             b += g
 
     def apply(self, p: Param, lr: float) -> None:
         """param -= lr*buf (in place)."""
         for v, b in _chunks(p.value, self.buffers[p.name]):
-            tmp = self._tmp(v)
-            np.multiply(b, lr, out=tmp)
-            v -= tmp
+            v -= b * lr
 
 
 def _missing(p: Param) -> ValueError:
@@ -248,7 +238,6 @@ def train_step(store: ParamStore, state: OptimizerState, x: np.ndarray, labels,
     logits, loss = network_loss_graph(graph, x, labels, store, net_cfg, train=True)
     graph.backward(loss)
     loss, predicted = float(loss.value), np.argmax(logits.value, axis=1)
-    del graph, logits  # free this step's tape before a rebuild or the next forward
     if bad is not None or not math.isfinite(loss):
         first = first_non_finite(lambda g: network_loss_graph(
             g, x, labels, store, net_cfg, train=True, update_running=False)[1])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from llanet import autodiff
+from llanet import autodiff, network
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +39,25 @@ def test_dev_script_runs(argv, expected):
     out = run_script(*argv)
     for text in expected:
         assert text in out
+
+
+def test_artifact_digests_names_every_artifact_kind(tmp_path):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "keep.txt").write_text("not the script's")
+    refused = subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digests.py"),
+                              str(work), "micro"], capture_output=True, text=True, timeout=120)
+    assert refused.returncode == 2 and (work / "keep.txt").exists()
+    (work / "keep.txt").unlink()
+    digests = json.loads(run_script("artifact_digests.py", str(work), "micro"))
+    assert all(len(digest) == 64 for digest in digests.values())
+    for mode in network.ATTENTION_MODES:
+        for kind in ("config.json", "environment.json", "train_log.jsonl", "best.ckpt",
+                     "metrics.json"):
+            assert f"out/micro-{mode}/{kind}" in digests
+    for name in ("micro-eval/metrics.json", "micro-eval/predictions.csv",
+                 "micro-masks/mask_m0.bin", "micro-masks/mask_m0_c0.pgm", "gradcheck.txt"):
+        assert f"out/{name}" in digests
 
 
 TRACER_METRICS = """

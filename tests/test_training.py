@@ -494,7 +494,7 @@ def test_the_dtype_set_where_values_enter_carries_through_a_step(monkeypatch, at
     class Watched(training.GradGraph):
         def __init__(self, *args, sink=None, **kwargs):
             def watching(name, grad):
-                handed.append((name, grad.dtype))
+                handed.append((name, grad))
                 sink(name, grad)
 
             super().__init__(*args, sink=watching, **kwargs)
@@ -504,8 +504,12 @@ def test_the_dtype_set_where_values_enter_carries_through_a_step(monkeypatch, at
             return super()._record(value, backprop, label, *inputs)
 
     monkeypatch.setattr(training, "GradGraph", Watched)
-    state = OptimizerState(store, TrainConfig(weight_decay=5e-4))
-    training.train_step(store, state, x, dataset.labels[:2], cfg, 0.1)
+    # a decay large enough that wd * p0 rounded to float32 or not changes the sum
+    train_cfg = TrainConfig(weight_decay=0.3)
+    state = OptimizerState(store, train_cfg)
+    before = {p.name: p.value.copy() for p in store.trainable()}
+    lr = 0.1
+    training.train_step(store, state, x, dataset.labels[:2], cfg, lr)
     assert x.dtype == np.float32
     assert outputs.pop() == ("softmax_cross_entropy", np.float64)
     gate = {"sigmoid", "hadamard"} if attention != "off" else set()
@@ -513,10 +517,15 @@ def test_the_dtype_set_where_values_enter_carries_through_a_step(monkeypatch, at
                                                "global_avg_pool", "flatten", *gate}
     assert all(dtype == np.float32 for _, dtype in outputs), outputs
     assert sorted(name for name, _ in handed) == sorted(p.name for p in store.trainable())
-    assert all(dtype == np.float32 for _, dtype in handed), handed
+    assert all(grad.dtype == np.float32 for _, grad in handed), handed
     assert all(p.value.dtype == np.float32 for p in store)
     assert all(buf.dtype == np.float32 for buf in state.buffers.values())
-    assert state._scratch.dtype == np.float32
+    # the update runs in float32 too: with the momentum buffers starting at
+    # zero, each param is the formula evaluated on whole float32 arrays
+    for name, g in handed:
+        p, p0 = store[name], before[name]
+        wd = 0.0 if p.decay_exempt else train_cfg.weight_decay
+        assert p.value.tobytes() == (p0 - lr * (g + wd * p0)).tobytes(), name
 
 
 def test_a_step_rejects_a_trainable_param_the_graph_never_entered():
